@@ -1,6 +1,7 @@
 #include "engine/streaming_engine.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -49,20 +50,26 @@ StreamingDecision StreamingEngine::push(ServerId server, Time time,
   const std::uint64_t push_start_ns =
       obs::enabled() ? obs::trace_now_ns() : 0;
 
-  // Canonicalize the row (RequestSequence rows arrive sorted and unique, so
-  // this is a no-op pass on the batch path).
-  row_.assign(items.begin(), items.end());
-  std::sort(row_.begin(), row_.end());
-  row_.erase(std::unique(row_.begin(), row_.end()), row_.end());
+  // Canonicalize the row.  Rows that are already strictly increasing —
+  // every RequestSequence, CsvStreamReader and `.dpt` row — go through
+  // as-is; only unsorted or duplicated rows pay for the sorted copy.
+  std::span<const ItemId> row = items;
+  if (std::adjacent_find(items.begin(), items.end(),
+                         std::greater_equal<ItemId>()) != items.end()) {
+    row_.assign(items.begin(), items.end());
+    std::sort(row_.begin(), row_.end());
+    row_.erase(std::unique(row_.begin(), row_.end()), row_.end());
+    row = row_;
+  }
 
-  const OnlineDpGreedyState::Decision d =
-      state_.push(server, time, std::span<const ItemId>(row_));
+  const OnlineDpGreedyState::Decision d = state_.push(server, time, row);
   g_stream_pushes.add();
-  g_stream_items.add(row_.size());
+  g_stream_items.add(row.size());
 
   if (options_.probe_chunk > 0) {
     probe_max_server_ = std::max(probe_max_server_, server);
-    probe_buffer_.push_back(RequestDraft{server, time, row_});
+    probe_buffer_.push_back(
+        RequestDraft{server, time, std::vector<ItemId>(row.begin(), row.end())});
     maybe_run_probe();
   }
 

@@ -25,7 +25,9 @@
 // dissolve, then unpartnered pairs above θ re-pack greedily (the θ / θ-over-2
 // hysteresis of the online extension).  Each such round is one *epoch*;
 // Decision::epoch and StreamingSnapshot::epoch expose the running count, and
-// the round is visible as an "epoch/repack" span in the obs trace.
+// the round is visible as an "epoch/repack" span in the obs trace.  An epoch
+// costs O(items the window touched since the last one), not O(k + pairs)
+// (solver/windowed_correlation.hpp, docs/streaming.md "Epochs").
 //
 // Cost-ratio probe.  With probe_chunk > 0, the engine buffers every pushed
 // request; each time the buffer fills it runs the offline per-item optimum
@@ -37,8 +39,9 @@
 // slightly pessimistic divisor), bounded-memory by construction.
 //
 // Memory.  Steady state allocates nothing per push: the window ring reuses
-// slot capacity, scratch vectors stay warm, and the package-slot table
-// recycles dissolved slots.  snapshot().state_alloc_events is the
+// slot capacity, pair counts are bounded by the pairs live in the window,
+// scratch vectors stay warm, flows restart in place, and the package-slot
+// table recycles dissolved slots.  snapshot().state_alloc_events is the
 // trace.build_allocs-style counter proving it — constant once warm (asserted
 // by bench/bm_stream on a 10M-request run).
 //
@@ -121,8 +124,9 @@ class StreamingEngine {
  public:
   StreamingEngine(const CostModel& model, const StreamingOptions& options);
 
-  /// Serves one request.  `items` need not be sorted (the engine sorts and
-  /// dedups into a scratch row); `time` must be strictly greater than every
+  /// Serves one request.  `items` need not be sorted (a row that is not
+  /// strictly increasing is sorted and deduped into a scratch row; one that
+  /// is goes through uncopied); `time` must be strictly greater than every
   /// previous push and > 0.
   StreamingDecision push(ServerId server, Time time,
                          std::span<const ItemId> items);

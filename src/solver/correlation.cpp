@@ -85,16 +85,6 @@ void PairCountMap::add(std::uint64_t key, std::size_t delta) {
   counts_[slot] += delta;
 }
 
-void PairCountMap::sub(std::uint64_t key, std::size_t delta) {
-  assert(key != kEmptyKey);
-  const std::size_t slot = slot_of(key);
-  assert(keys_[slot] == key && counts_[slot] >= delta);
-  if (keys_[slot] != key || counts_[slot] < delta) {
-    throw InvalidArgument("PairCountMap::sub: count underflow");
-  }
-  counts_[slot] -= delta;
-}
-
 std::size_t PairCountMap::count(std::uint64_t key) const noexcept {
   const std::size_t slot = slot_of(key);
   return keys_[slot] == key ? counts_[slot] : 0;

@@ -65,13 +65,6 @@ class PairCountMap {
   /// Adds `delta` to the pair's counter, inserting it at 0 first if new.
   void add(std::uint64_t key, std::size_t delta = 1);
 
-  /// Subtracts `delta` from the pair's counter (the evict half of a sliding
-  /// window — see solver/windowed_correlation.hpp).  The pair must have been
-  /// added at least `delta` times; its slot stays occupied at 0 so the
-  /// stored-pair universe only ever grows (bounded by k(k−1)/2, never by the
-  /// stream length).
-  void sub(std::uint64_t key, std::size_t delta = 1);
-
   /// The pair's counter; 0 when the pair was never added.
   [[nodiscard]] std::size_t count(std::uint64_t key) const noexcept;
 

@@ -79,6 +79,11 @@ void BreakEvenFlowState::add_copy(ServerId server, Time t) {
   copies_.push_back(ReplicaCopy{server, t, t});
 }
 
+void BreakEvenFlowState::restart(ServerId server, Time t) {
+  copies_.clear();
+  copies_.push_back(ReplicaCopy{server, t, t});
+}
+
 const ReplicaCopy& BreakEvenFlowState::most_recent() const {
   const ReplicaCopy* best = &copies_.front();
   for (const ReplicaCopy& c : copies_) {
@@ -352,41 +357,71 @@ void OnlineDpGreedyState::repack(Time now, Decision& decision) {
   g_online_repacks.add();
   ++repacks_;
   decision.repacked = true;
-  const std::size_t k = partner_.size();
-  // Dissolve pairs whose windowed similarity decayed below θ/2.
-  for (ItemId a = 0; a < k; ++a) {
-    const ItemId b = partner_[a];
-    if (b == kNoItem || a > b) continue;
-    if (window_.jaccard(a, b) < options_.theta / 2.0) {
-      // Split: both items get a copy where the package was last used.
-      const ReplicaCopy seat = package_slot(a).most_recent();
-      result_.total_cost += package_slot(a).finalize(model_, &result_.cache_time);
-      free_package_slots_.push_back(package_lo_[a]);
-      package_lo_[a] = kNoItem;
-      package_lo_[b] = kNoItem;
-      item_flow_[a] = BreakEvenFlowState(1.0, seat.server, now);
-      item_flow_[a].set_pending_cost(&result_.total_cost);
-      item_flow_[b] = BreakEvenFlowState(1.0, seat.server, now);
-      item_flow_[b].set_pending_cost(&result_.total_cost);
-      partner_[a] = kNoItem;
-      partner_[b] = kNoItem;
-      ++result_.unpack_events;
-      ++decision.unpack_events;
-      --live_packages_;
+  // An epoch looks only at the items the window touched since the last one.
+  // That is exact because every epoch ends with two invariants:
+  //   (i)  every packed pair has J >= θ/2 (a pair below it is dissolved);
+  //   (ii) no pair of two unpacked items has J > θ (the greedy pass below
+  //        packs at least one member of every such pair).
+  // J(a, b) moves only when a or b is touched.  So an untouched packed pair
+  // still clears θ/2, and an unpacked pair that clears θ now has a touched
+  // member or a member this epoch's dissolves just freed.  Both passes
+  // therefore see exactly the pairs a scan of the whole table would act on.
+
+  // Dissolve pairs whose windowed similarity decayed below θ/2.  Each
+  // touched pair is judged once (from its lower end when both are touched);
+  // the dissolves run in ascending order of their lower item, the order —
+  // and so the floating-point accumulation — of a full ascending scan.
+  epoch_pairs_.clear();
+  for (const ItemId item : window_.touched()) {
+    const ItemId mate = partner_[item];
+    if (mate == kNoItem || (mate < item && window_.is_touched(mate))) continue;
+    if (window_.jaccard(item, mate) < options_.theta / 2.0) {
+      epoch_pairs_.push_back(std::min(item, mate));
     }
   }
-  // Form new pairs greedily by descending windowed similarity.  The sparse
-  // co-pair walk visits every pair with co_freq > 0 — a superset of every
-  // pair that can clear θ (J > θ ≥ 0 requires co > 0) — and the sort below
-  // totally orders the unique (J, (a, b)) keys, so the candidate list is
-  // bit-identical to the dense row scan this replaces, in the same order.
+  std::sort(epoch_pairs_.begin(), epoch_pairs_.end());
+  for (const ItemId a : epoch_pairs_) {
+    // Split: both items get a copy where the package was last used.
+    const ItemId b = partner_[a];
+    const ReplicaCopy seat = package_slot(a).most_recent();
+    result_.total_cost += package_slot(a).finalize(model_, &result_.cache_time);
+    free_package_slots_.push_back(package_lo_[a]);
+    package_lo_[a] = kNoItem;
+    package_lo_[b] = kNoItem;
+    item_flow_[a].restart(seat.server, now);
+    item_flow_[b].restart(seat.server, now);
+    partner_[a] = kNoItem;
+    partner_[b] = kNoItem;
+    // A freed item's pairs were no candidates while it was packed, so it
+    // joins the touched set the pack pass walks.
+    window_.touch(a);
+    window_.touch(b);
+    ++result_.unpack_events;
+    ++decision.unpack_events;
+    --live_packages_;
+  }
+
+  // Form new pairs greedily by descending windowed similarity.  The
+  // candidates are the unpacked neighbors of the unpacked touched items
+  // (each pair emitted once: a pair of two touched items from its lower
+  // end), and the sort totally orders the unique (J, (a, b)) keys — so the
+  // list is the one a full scan of the window's pairs would build, in the
+  // same order.
   if (candidates_.empty() && candidates_.capacity() == 0) ++scratch_allocs_;
   candidates_.clear();
-  window_.for_each_co_pair([this](ItemId a, ItemId b, std::size_t) {
-    if (partner_[a] != kNoItem || partner_[b] != kNoItem) return;
-    const double j = window_.jaccard(a, b);
-    if (j > options_.theta) candidates_.emplace_back(j, std::make_pair(a, b));
-  });
+  for (const ItemId x : window_.touched()) {
+    if (partner_[x] != kNoItem) continue;
+    for (const WindowedCorrelation::Neighbor& n : window_.neighbors(x)) {
+      const ItemId y = n.item;
+      if (partner_[y] != kNoItem || (y < x && window_.is_touched(y))) continue;
+      const double j = jaccard_similarity(window_.frequency(x),
+                                          window_.frequency(y), n.co);
+      if (j > options_.theta) {
+        candidates_.emplace_back(j, std::minmax(x, y));
+      }
+    }
+  }
+  window_.clear_touched();
   std::sort(candidates_.rbegin(), candidates_.rend());
   for (const auto& [j, pair] : candidates_) {
     const auto [a, b] = pair;
@@ -404,15 +439,14 @@ void OnlineDpGreedyState::repack(Time now, Decision& decision) {
     if (free_package_slots_.empty()) {
       package_lo_[a] = static_cast<ItemId>(package_flow_.size());
       package_flow_.emplace_back(pack_rate_, seat.server, now);
+      package_flow_.back().set_pending_cost(&result_.total_cost);
     } else {
       // Reuse a dissolved slot so the table stays O(k), not O(pack events).
       package_lo_[a] = free_package_slots_.back();
       free_package_slots_.pop_back();
-      package_flow_[package_lo_[a]] =
-          BreakEvenFlowState(pack_rate_, seat.server, now);
+      package_flow_[package_lo_[a]].restart(seat.server, now);
     }
     package_lo_[b] = package_lo_[a];
-    package_flow_[package_lo_[a]].set_pending_cost(&result_.total_cost);
     ++result_.pack_events;
     ++decision.pack_events;
     ++live_packages_;

@@ -66,6 +66,11 @@ class BreakEvenFlowState {
   /// Adds a replica at (server, t) (used by package fetches).
   void add_copy(ServerId server, Time t);
 
+  /// Starts the flow over with one copy at (server, t) — what constructing
+  /// a fresh state would do, but keeping the copy list's capacity and the
+  /// pending-cost sink.  The flow must have been finalized (or be new).
+  void restart(ServerId server, Time t);
+
   /// Most recently used copy (always exists).
   [[nodiscard]] const ReplicaCopy& most_recent() const;
 
@@ -227,6 +232,7 @@ class OnlineDpGreedyState {
   // Reused scratch (kept warm across pushes).
   std::vector<bool> handled_;
   std::vector<std::pair<double, std::pair<ItemId, ItemId>>> candidates_;
+  std::vector<ItemId> epoch_pairs_;  // lower ends of the pairs to dissolve
   std::uint64_t scratch_allocs_ = 0;
 };
 

@@ -1,17 +1,36 @@
 #include "solver/windowed_correlation.hpp"
 
+#include <cstdint>
+#include <limits>
+
 #include "util/error.hpp"
 
 namespace dpg {
 
 WindowedCorrelation::WindowedCorrelation(std::size_t item_count,
                                          std::size_t window)
-    : window_(window), ring_(window), frequency_(item_count, 0) {
+    : window_(window), ring_(window) {
   require(window > 0, "WindowedCorrelation: window must be >= 1");
+  require(window <= std::numeric_limits<std::uint32_t>::max(),
+          "WindowedCorrelation: window must fit a 32-bit count");
+  ensure_item_count(item_count);
 }
 
 void WindowedCorrelation::ensure_item_count(std::size_t item_count) {
-  if (item_count > frequency_.size()) frequency_.resize(item_count, 0);
+  if (item_count > items_.size()) items_.resize(item_count);
+}
+
+std::size_t WindowedCorrelation::co_frequency(ItemId a,
+                                              ItemId b) const noexcept {
+  // Scan the shorter row; the pair sits in both.
+  const bool a_shorter =
+      items_[a].neighbors.size() <= items_[b].neighbors.size();
+  const std::vector<Neighbor>& row = items_[a_shorter ? a : b].neighbors;
+  const ItemId other = a_shorter ? b : a;
+  for (const Neighbor& n : row) {
+    if (n.item == other) return n.co;
+  }
+  return 0;
 }
 
 void WindowedCorrelation::add(std::span<const ItemId> items) {
@@ -24,20 +43,64 @@ void WindowedCorrelation::add(std::span<const ItemId> items) {
   head_ = head_ + 1 == window_ ? 0 : head_ + 1;
 }
 
+void WindowedCorrelation::clear_touched() noexcept {
+  for (const ItemId item : touched_) items_[item].touched = false;
+  touched_.clear();
+}
+
+void WindowedCorrelation::touch(ItemId item) {
+  if (items_[item].touched) return;
+  items_[item].touched = true;
+  touched_.push_back(item);
+}
+
+void WindowedCorrelation::increment(ItemId owner, ItemId other) {
+  std::vector<Neighbor>& row = items_[owner].neighbors;
+  for (Neighbor& n : row) {
+    if (n.item == other) {
+      ++n.co;
+      return;
+    }
+  }
+  row.push_back(Neighbor{other, 1});
+}
+
+void WindowedCorrelation::decrement(ItemId owner, ItemId other) {
+  std::vector<Neighbor>& row = items_[owner].neighbors;
+  for (Neighbor& n : row) {
+    if (n.item == other) {
+      if (--n.co == 0) {
+        n = row.back();  // order within a row is unspecified
+        row.pop_back();
+      }
+      return;
+    }
+  }
+  throw InvalidArgument("WindowedCorrelation: pair count underflow");
+}
+
 void WindowedCorrelation::bump(std::span<const ItemId> items) {
-  for (const ItemId item : items) ++frequency_[item];
+  for (const ItemId item : items) {
+    ++items_[item].frequency;
+    touch(item);
+  }
   for (std::size_t x = 0; x < items.size(); ++x) {
     for (std::size_t y = x + 1; y < items.size(); ++y) {
-      co_counts_.add(PairCountMap::pack(items[x], items[y]));
+      increment(items[x], items[y]);
+      increment(items[y], items[x]);
     }
   }
 }
 
 void WindowedCorrelation::evict(std::span<const ItemId> items) {
-  for (const ItemId item : items) --frequency_[item];
+  for (const ItemId item : items) {
+    --items_[item].frequency;
+    touch(item);
+  }
   for (std::size_t x = 0; x < items.size(); ++x) {
     for (std::size_t y = x + 1; y < items.size(); ++y) {
-      co_counts_.sub(PairCountMap::pack(items[x], items[y]));
+      decrement(items[x], items[y]);
+      decrement(items[y], items[x]);
     }
   }
 }

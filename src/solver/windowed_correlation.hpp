@@ -5,10 +5,26 @@
 // same statistics over only the last `window` requests, updated one request
 // at a time: add() pushes a request's item set into a ring buffer, bumps its
 // item frequencies and pair co-occurrence counts, and evicts the request
-// that slid out of the window with the mirror-image decrements.  Pair counts
-// live in the same sparse open-addressing PairCountMap the batch pass uses,
-// so memory is O(window · mean items/request + k + observed pairs) — bounded
-// by the item universe and the window, never by the stream length.
+// that slid out of the window with the mirror-image decrements.
+//
+// Pair counts live in per-item adjacency rows of (neighbor, co_count): a
+// pair is stored in both members' rows while it co-occurs somewhere in the
+// window, and its entries are removed the moment its count drops to 0.  So
+// the counts take O(k + live pairs) memory, and live pairs <= window × the
+// most pairs one request holds: the bound is the pairs inside the window,
+// never the pairs ever seen or the stream length.
+//
+// add() also records every item whose frequency or pair counts it changed
+// (the items of the added and the evicted request) in a touched set that
+// the caller drains with clear_touched().  That is what makes an online
+// re-pairing epoch cost O(touched items + their adjacency rows) instead of
+// O(k + pairs): J(a, b) = co/(f_a + f_b − co) moves only when a or b is
+// touched.  OnlineDpGreedyState::repack relies on two invariants that hold
+// after every epoch — every packed pair has J >= θ/2, and no pair of two
+// unpacked items has J > θ — so the only pairs an epoch can act on are the
+// packed pairs with a touched member and the pairs of a touched item, or
+// of an item a dissolve just freed (which the epoch touch()es itself).  The
+// argument in full is in docs/streaming.md "Epochs".
 //
 // jaccard() computes exactly the expression of Eq. (5) via
 // jaccard_similarity(), so a decision made from this class is bit-identical
@@ -28,12 +44,20 @@ namespace dpg {
 
 class WindowedCorrelation {
  public:
+  /// One adjacency entry: `item` co-occurs with the row's owner in `co`
+  /// requests of the window (always > 0 — zero-count entries are removed).
+  struct Neighbor {
+    ItemId item;
+    std::uint32_t co;
+  };
+
   /// `window` is the number of most recent requests retained (>= 1).
   WindowedCorrelation(std::size_t item_count, std::size_t window);
 
   /// Slides the window forward by one request: counts `items` (sorted,
   /// duplicate-free — a RequestSequence row) and evicts the request that
-  /// fell off the back, if the window is full.
+  /// fell off the back, if the window is full.  Both requests' items join
+  /// the touched set.
   void add(std::span<const ItemId> items);
 
   /// Grows the item universe to at least `item_count` (streaming fronts
@@ -41,7 +65,7 @@ class WindowedCorrelation {
   void ensure_item_count(std::size_t item_count);
 
   [[nodiscard]] std::size_t item_count() const noexcept {
-    return frequency_.size();
+    return items_.size();
   }
   [[nodiscard]] std::size_t window() const noexcept { return window_; }
   /// Requests currently inside the window (== min(adds, window)).
@@ -49,35 +73,39 @@ class WindowedCorrelation {
 
   /// |d_a| restricted to the window.
   [[nodiscard]] std::size_t frequency(ItemId item) const noexcept {
-    return frequency_[item];
+    return items_[item].frequency;
   }
   /// |(d_a, d_b)| restricted to the window.
-  [[nodiscard]] std::size_t co_frequency(ItemId a, ItemId b) const noexcept {
-    return co_counts_.count(PairCountMap::pack(a, b));
-  }
+  [[nodiscard]] std::size_t co_frequency(ItemId a, ItemId b) const noexcept;
   /// Windowed Jaccard J(a, b) — Eq. (5) over the window's counts.
   [[nodiscard]] double jaccard(ItemId a, ItemId b) const noexcept {
-    return jaccard_similarity(frequency_[a], frequency_[b],
-                              co_frequency(a, b));
+    return jaccard_similarity(frequency(a), frequency(b), co_frequency(a, b));
   }
 
-  /// Invokes `fn(a, b, co)` for every pair with co_freq > 0 in the window,
-  /// in unspecified order (a < b).  The candidate enumeration of an epoch
-  /// re-pack: any pair that can clear a θ > 0 threshold co-occurs, so this
-  /// visits every possible candidate in O(observed pairs), not O(k²).
-  template <typename Fn>
-  void for_each_co_pair(Fn&& fn) const {
-    co_counts_.for_each([&fn](std::uint64_t key, std::size_t count) {
-      if (count > 0) {
-        fn(PairCountMap::unpack_a(key), PairCountMap::unpack_b(key), count);
-      }
-    });
+  /// Every item co-occurring with `item` in the window, in unspecified
+  /// order.  Any pair that can clear a θ ≥ 0 threshold co-occurs, so an
+  /// item's row holds every pack candidate it takes part in.
+  [[nodiscard]] std::span<const Neighbor> neighbors(ItemId item) const noexcept {
+    return items_[item].neighbors;
   }
+
+  /// Items whose counts add() changed since the last clear_touched(), plus
+  /// any a caller marked with touch(), each once, in first-touch order.
+  [[nodiscard]] std::span<const ItemId> touched() const noexcept {
+    return touched_;
+  }
+  [[nodiscard]] bool is_touched(ItemId item) const noexcept {
+    return items_[item].touched;
+  }
+  /// Adds `item` to the touched set (a no-op if it is there already).
+  void touch(ItemId item);
+  void clear_touched() noexcept;
 
   /// Ring-slot reallocation events so far — the windowed analogue of the
   /// trace.build_allocs counter: constant once every slot has seen its
   /// largest row, observable proof the window reaches an allocation-free
-  /// steady state.
+  /// steady state.  Adjacency rows and the touched list are not counted
+  /// (their capacity is bounded by k and the live pairs, and never shrinks).
   [[nodiscard]] std::uint64_t alloc_events() const noexcept {
     return alloc_events_;
   }
@@ -85,13 +113,23 @@ class WindowedCorrelation {
  private:
   void bump(std::span<const ItemId> items);
   void evict(std::span<const ItemId> items);
+  // One direction of a pair's count; decrement drops the entry at 0.
+  void increment(ItemId owner, ItemId other);
+  void decrement(ItemId owner, ItemId other);
 
   std::size_t window_;
   std::size_t size_ = 0;  // occupied ring slots
   std::size_t head_ = 0;  // next slot to write (== oldest when full)
   std::vector<std::vector<ItemId>> ring_;  // capacity reused across laps
-  std::vector<std::size_t> frequency_;     // per-item counts in the window
-  PairCountMap co_counts_;                 // pair counts in the window
+  // Everything an add() or an epoch reads about one item, kept together so
+  // one cache line serves the frequency, the flag and the row header.
+  struct ItemState {
+    std::vector<Neighbor> neighbors;  // live pair counts (each pair twice)
+    std::uint32_t frequency = 0;      // requests in the window holding it
+    bool touched = false;             // member of touched_
+  };
+  std::vector<ItemState> items_;
+  std::vector<ItemId> touched_;
   std::uint64_t alloc_events_ = 0;
 };
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -156,6 +157,49 @@ TEST(StreamingEngine, CanonicalizesUnsortedAndDuplicatedRows) {
     clean.push(server, t, sorted);
   }
   EXPECT_EQ(messy.finish().total_cost, clean.finish().total_cost);
+}
+
+TEST(StreamingEngine, ShuffledAndDuplicatedRowsMatchTheirCanonicalForm) {
+  // Canonical rows skip the engine's sort-and-dedup copy; every other row
+  // takes it.  Both must serve the same request, bit for bit.
+  Rng trace_rng(11);
+  const RequestSequence trace =
+      testing::random_sequence(trace_rng, 1500, 8, 24, 0.9);
+  StreamingOptions options;
+  options.online = grid_options(16, 3);
+  StreamingEngine messy(kModel, options);
+  StreamingEngine clean(kModel, options);
+  Rng rng(12);
+  for (std::size_t r = 0; r < trace.size(); ++r) {
+    const std::span<const ItemId> row = trace.items_of(r);
+    std::vector<ItemId> scrambled(row.begin(), row.end());
+    if (r % 3 != 2) scrambled.push_back(row.front());  // duplicate an item
+    for (std::size_t i = scrambled.size(); i > 1; --i) {
+      std::swap(scrambled[i - 1], scrambled[rng.next_below(i)]);
+    }
+    const StreamingDecision m =
+        messy.push(trace.server_of(r), trace.time_of(r), scrambled);
+    const StreamingDecision c =
+        clean.push(trace.server_of(r), trace.time_of(r), row);
+    ASSERT_EQ(m.cost_delta, c.cost_delta) << "row " << r;
+    ASSERT_EQ(m.epoch, c.epoch) << "row " << r;
+  }
+  // Sorted but not strictly increasing rows are canonicalized too.
+  const std::vector<ItemId> doubled = {1, 1, 2};
+  const std::vector<ItemId> single = {1, 2};
+  const Time end = trace.time_of(trace.size() - 1);
+  messy.push(0, end + 1.0, doubled);
+  clean.push(0, end + 1.0, single);
+  const StreamingSnapshot ms = messy.snapshot();
+  const StreamingSnapshot cs = clean.snapshot();
+  EXPECT_EQ(ms.report.total_item_accesses, cs.report.total_item_accesses);
+  const RunReport mr = messy.finish();
+  const RunReport cr = clean.finish();
+  EXPECT_EQ(mr.total_cost, cr.total_cost);
+  EXPECT_EQ(mr.transfer_cost, cr.transfer_cost);
+  EXPECT_EQ(mr.total_item_accesses, cr.total_item_accesses);
+  EXPECT_EQ(mr.package_count, cr.package_count);
+  EXPECT_EQ(mr.unpack_events, cr.unpack_events);
 }
 
 TEST(StreamingEngine, GrowsTheItemUniverseOnDemand) {

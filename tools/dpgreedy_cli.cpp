@@ -42,6 +42,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <utility>
@@ -883,6 +884,14 @@ int main(int argc, char** argv) {
     return 2;
   } catch (const Error& error) {
     std::fprintf(stderr, "dpgreedy %s: %s\n", command.c_str(), error.what());
+    return 1;
+  } catch (const std::bad_alloc&) {
+    // Per-item state is sized by the largest id seen, so one huge id in a
+    // trace lands here rather than in std::terminate.
+    std::fprintf(stderr,
+                 "dpgreedy %s: out of memory (is an item or server id in "
+                 "the trace far larger than the rest?)\n",
+                 command.c_str());
     return 1;
   }
 }
