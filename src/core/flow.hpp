@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/request.hpp"
@@ -47,10 +48,15 @@ struct Flow {
 /// reused buffer makes repeated flow construction allocation-free.
 void make_item_flow(const RequestSequence& sequence, ItemId item, Flow& out);
 
+// The multi-item builders below never scan the sequence or probe a row's
+// item set: they merge the items' sorted request-index lists
+// (RequestSequence::indices_for_item), so their cost depends only on the
+// lengths of those lists.  Every builder emits its points in time order.
+
 /// Service points of all requests containing *both* `a` and `b`
-/// (the package flow of Phase 2; group_size = 2).  Walks the rarer item's
-/// request index instead of the whole sequence, so the cost is
-/// O(min(|d_a|, |d_b|) · log|D|) rather than O(n · |D|).
+/// (the package flow of Phase 2; group_size = 2): the intersection of the
+/// two index lists, galloping through the longer one, so the cost is
+/// O(min(|d_a|, |d_b|) · log(max/min)).
 [[nodiscard]] Flow make_package_flow(const RequestSequence& sequence, ItemId a,
                                      ItemId b);
 
@@ -59,15 +65,32 @@ void make_package_flow(const RequestSequence& sequence, ItemId a, ItemId b,
                        Flow& out);
 
 /// Service points of all requests containing every item of `group`
-/// (multi-item packing extension; group_size = group.size()).
+/// (multi-item packing extension; group_size = group.size()): a g-way
+/// intersection walking the rarest item's list.  `group` may be unsorted.
 [[nodiscard]] Flow make_group_flow(const RequestSequence& sequence,
                                    const std::vector<ItemId>& group);
 
+/// In-place variant of the group flow.
+void make_group_flow(const RequestSequence& sequence,
+                     const std::vector<ItemId>& group, Flow& out);
+
 /// Service points of all requests containing *any* item of `group`
 /// (the Package_Served baseline ships the whole package to each of them;
-/// group_size = group.size()).
+/// group_size = group.size()): a g-way union of the index lists.
 [[nodiscard]] Flow make_union_flow(const RequestSequence& sequence,
                                    const std::vector<ItemId>& group);
+
+/// In-place variant of the union flow.
+void make_union_flow(const RequestSequence& sequence,
+                     const std::vector<ItemId>& group, Flow& out);
+
+/// Position of the first entry >= `target` in the ascending `list`, looking
+/// only at [from, list.size()); list.size() when there is none.  Gallops
+/// (steps of 1, 2, 4, ...) before a binary search, so a cursor that skips d
+/// entries pays O(log d) — the merge step every builder above shares.
+[[nodiscard]] std::size_t seek_index(std::span<const std::size_t> list,
+                                     std::size_t from,
+                                     std::size_t target) noexcept;
 
 /// Validates the flow invariants (times strictly increasing and positive,
 /// group size >= 1). Throws InvalidArgument.

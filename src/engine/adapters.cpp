@@ -73,26 +73,26 @@ void tally_schedule(const Schedule& schedule, const CostModel& model,
   report.cache_segments += schedule.segments().size();
 }
 
-void keep_plan(RunReport& report, const SolverConfig& config, Flow flow,
-               Schedule schedule, std::string label) {
+/// Moves one solved flow and its schedule into the report's plans.  The
+/// solvers keep their flows when config.keep_schedules is on, so no flow is
+/// built twice and no schedule is copied.
+void keep_plan(RunReport& report, const SolverConfig& config, Flow&& flow,
+               Schedule&& schedule, std::string label) {
   if (!config.keep_schedules) return;
   report.plans.push_back(
       FlowPlan{std::move(flow), std::move(schedule), std::move(label)});
 }
 
-/// Standalone wall-clock of the Phase-1 packing analysis (correlation +
-/// pairing/grouping) on the same inputs.  The wrapped solvers run their own
-/// Phase 1 inside solve_seconds; this is an independent re-measurement, not
-/// a component of it.
-template <typename PackFn>
-double measure_phase1(const RequestSequence& sequence, ThreadPool* pool,
-                      PackFn&& pack) {
-  CorrelationOptions correlation;
-  correlation.pool = pool;
-  Stopwatch stopwatch;
-  const CorrelationAnalysis analysis(sequence, correlation);
-  pack(analysis);
-  return stopwatch.elapsed_seconds();
+/// Tallies and keeps the plans of the per-item DP solves (unpacked items,
+/// or every item for the Optimal baseline).
+void keep_single_plans(std::vector<SingleItemReport>& singles,
+                       const CostModel& model, const SolverConfig& config,
+                       RunReport& report) {
+  for (SingleItemReport& single : singles) {
+    tally_schedule(single.schedule, model, 1.0, report);
+    keep_plan(report, config, std::move(single.flow),
+              std::move(single.schedule), item_label(single.item));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -107,16 +107,14 @@ class DpGreedySolver final : public Solver {
     options.theta = config.theta;
     options.dp = config.dp;
     options.pool = lease.pool();
+    options.keep_flows = config.keep_schedules;
 
     RunReport report;
     report.solver = "dp_greedy";
     Stopwatch stopwatch;
-    const DpGreedyResult result = solve_dp_greedy(sequence, model, options);
+    DpGreedyResult result = solve_dp_greedy(sequence, model, options);
     report.solve_seconds = stopwatch.elapsed_seconds();
-    report.phase1_seconds = measure_phase1(
-        sequence, lease.pool(), [&](const CorrelationAnalysis& a) {
-          return greedy_pairing(a, config.theta);
-        });
+    report.phase1_seconds = result.phase1_seconds;
 
     report.total_cost = result.total_cost;
     report.raw_cost = result.total_cost;
@@ -124,7 +122,7 @@ class DpGreedySolver final : public Solver {
     report.package_count = result.packing.pairs.size();
 
     const double pack_rate = model.flow_multiplier(2);
-    for (const PackageReport& pkg : result.packages) {
+    for (PackageReport& pkg : result.packages) {
       tally_schedule(pkg.package_schedule, model, pack_rate, report);
       for (const SingletonService& service : pkg.services) {
         switch (service.choice) {
@@ -140,16 +138,11 @@ class DpGreedySolver final : public Solver {
             break;
         }
       }
-      keep_plan(report, config,
-                make_package_flow(sequence, pkg.pair.a, pkg.pair.b),
-                pkg.package_schedule,
+      keep_plan(report, config, std::move(pkg.package_flow),
+                std::move(pkg.package_schedule),
                 "package " + group_label({pkg.pair.a, pkg.pair.b}));
     }
-    for (const SingleItemReport& single : result.singles) {
-      tally_schedule(single.schedule, model, 1.0, report);
-      keep_plan(report, config, make_item_flow(sequence, single.item),
-                single.schedule, item_label(single.item));
-    }
+    keep_single_plans(result.singles, model, config, report);
     finalize_report(report);
     return report;
   }
@@ -166,18 +159,14 @@ class OptimalBaselineSolver final : public Solver {
     RunReport report;
     report.solver = "optimal_baseline";
     Stopwatch stopwatch;
-    const OptimalBaselineResult result =
-        solve_optimal_baseline(sequence, model, config.dp, lease.pool());
+    OptimalBaselineResult result = solve_optimal_baseline(
+        sequence, model, config.dp, lease.pool(), config.keep_schedules);
     report.solve_seconds = stopwatch.elapsed_seconds();
 
     report.total_cost = result.total_cost;
     report.raw_cost = result.total_cost;
     report.total_item_accesses = result.total_item_accesses;
-    for (const OptimalItemReport& item : result.items) {
-      tally_schedule(item.schedule, model, 1.0, report);
-      keep_plan(report, config, make_item_flow(sequence, item.item),
-                item.schedule, item_label(item.item));
-    }
+    keep_single_plans(result.items, model, config, report);
     finalize_report(report);
     return report;
   }
@@ -194,13 +183,11 @@ class PackageServedSolver final : public Solver {
     RunReport report;
     report.solver = "package_served";
     Stopwatch stopwatch;
-    const PackageServedResult result = solve_package_served(
-        sequence, model, config.theta, config.dp, lease.pool());
+    PackageServedResult result =
+        solve_package_served(sequence, model, config.theta, config.dp,
+                             lease.pool(), config.keep_schedules);
     report.solve_seconds = stopwatch.elapsed_seconds();
-    report.phase1_seconds = measure_phase1(
-        sequence, lease.pool(), [&](const CorrelationAnalysis& a) {
-          return greedy_pairing(a, config.theta, /*inclusive=*/true);
-        });
+    report.phase1_seconds = result.phase1_seconds;
 
     report.total_cost = result.total_cost;
     report.raw_cost = result.total_cost;
@@ -208,18 +195,12 @@ class PackageServedSolver final : public Solver {
     report.package_count = result.packing.pairs.size();
 
     const double pack_rate = model.flow_multiplier(2);
-    for (const PackageServedPair& pkg : result.pairs) {
+    for (PackageServedPair& pkg : result.pairs) {
       tally_schedule(pkg.schedule, model, pack_rate, report);
-      keep_plan(report, config,
-                make_union_flow(sequence, {pkg.pair.a, pkg.pair.b}),
-                pkg.schedule,
+      keep_plan(report, config, std::move(pkg.flow), std::move(pkg.schedule),
                 "package " + group_label({pkg.pair.a, pkg.pair.b}));
     }
-    for (const OptimalItemReport& single : result.singles) {
-      tally_schedule(single.schedule, model, 1.0, report);
-      keep_plan(report, config, make_item_flow(sequence, single.item),
-                single.schedule, item_label(single.item));
-    }
+    keep_single_plans(result.singles, model, config, report);
     finalize_report(report);
     return report;
   }
@@ -238,37 +219,32 @@ class GroupDpGreedySolver final : public Solver {
     options.max_group_size = config.max_group_size;
     options.dp = config.dp;
     options.pool = lease.pool();
+    options.keep_flows = config.keep_schedules;
 
     RunReport report;
     report.solver = "group_dp_greedy";
     Stopwatch stopwatch;
-    const GroupDpGreedyResult result =
+    GroupDpGreedyResult result =
         solve_group_dp_greedy(sequence, model, options);
     report.solve_seconds = stopwatch.elapsed_seconds();
-    report.phase1_seconds = measure_phase1(
-        sequence, lease.pool(), [&](const CorrelationAnalysis& a) {
-          return greedy_grouping(a, config.theta, config.max_group_size);
-        });
+    report.phase1_seconds = result.phase1_seconds;
 
     report.total_cost = result.total_cost;
     report.raw_cost = result.total_cost;
     report.total_item_accesses = result.total_item_accesses;
     report.package_count = result.groups.size();
 
-    for (const GroupReport& group : result.groups) {
+    for (GroupReport& group : result.groups) {
       const double rate =
           model.flow_multiplier(group.items.size());
       tally_schedule(group.package_schedule, model, rate, report);
       report.transfer_cost += group.partial_transfer_cost;
       report.transfer_events += group.partial_transfer_events;
-      keep_plan(report, config, make_group_flow(sequence, group.items),
-                group.package_schedule, "group " + group_label(group.items));
+      keep_plan(report, config, std::move(group.package_flow),
+                std::move(group.package_schedule),
+                "group " + group_label(group.items));
     }
-    for (const SingleItemReport& single : result.singles) {
-      tally_schedule(single.schedule, model, 1.0, report);
-      keep_plan(report, config, make_item_flow(sequence, single.item),
-                single.schedule, item_label(single.item));
-    }
+    keep_single_plans(result.singles, model, config, report);
     finalize_report(report);
     return report;
   }
@@ -290,6 +266,7 @@ struct ItemOutcome {
   Cost transfer_cost = 0.0;         // λ-side of this item's choices
   std::size_t transfer_events = 0;  // λ-charges behind that cost
   Schedule schedule;
+  Flow flow;  // the solved flow; empty unless schedules are kept
 };
 
 template <typename SolveFn>
@@ -308,8 +285,11 @@ RunReport run_per_item(const std::string& name,
   for_each_flow_sharded(
       lease.pool(), item_count,
       [&](std::size_t i, SolverWorkspace& ws) {
-        make_item_flow(sequence, static_cast<ItemId>(i), ws.flow);
-        outcomes[i] = solve(ws.flow, ws);
+        Flow kept;
+        Flow& flow = config.keep_schedules ? kept : ws.flow;
+        make_item_flow(sequence, static_cast<ItemId>(i), flow);
+        outcomes[i] = solve(flow, ws);
+        outcomes[i].flow = std::move(kept);
       },
       &workspace);
 
@@ -320,7 +300,7 @@ RunReport run_per_item(const std::string& name,
     report.transfer_cost += outcome.transfer_cost;
     report.transfer_events += outcome.transfer_events;
     report.cache_segments += outcome.schedule.segments().size();
-    keep_plan(report, config, make_item_flow(sequence, item),
+    keep_plan(report, config, std::move(outcome.flow),
               std::move(outcome.schedule), item_label(item));
   }
   report.solve_seconds = stopwatch.elapsed_seconds();

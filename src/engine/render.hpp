@@ -3,6 +3,7 @@
 // the harnesses print identical rows for identical runs.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,7 +19,7 @@ namespace dpg {
 
 /// The full comparison table (header + one row per report, aligned).
 [[nodiscard]] std::string render_comparison(
-    const std::vector<RunReport>& reports);
+    std::span<const RunReport> reports);
 
 /// Machine-readable flat schema: header + one row per report.  Costs are
 /// printed with full round-trip precision.

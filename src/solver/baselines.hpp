@@ -13,6 +13,7 @@
 #include "core/cost_model.hpp"
 #include "core/request.hpp"
 #include "core/schedule.hpp"
+#include "solver/dp_greedy.hpp"
 #include "solver/optimal_offline.hpp"
 #include "solver/pairing.hpp"
 
@@ -20,13 +21,9 @@ namespace dpg {
 
 class ThreadPool;
 
-/// Per-item outcome of the non-packing Optimal baseline.
-struct OptimalItemReport {
-  ItemId item = 0;
-  Cost cost = 0.0;
-  std::size_t accesses = 0;
-  Schedule schedule;
-};
+/// Per-item outcome of the non-packing Optimal baseline: the same per-item
+/// DP DP_Greedy runs for its unpacked items.
+using OptimalItemReport = SingleItemReport;
 
 struct OptimalBaselineResult {
   std::vector<OptimalItemReport> items;
@@ -38,9 +35,12 @@ struct OptimalBaselineResult {
   [[nodiscard]] double pair_ave_cost(ItemId a, ItemId b) const;
 };
 
+/// `keep_flows` keeps each item's flow in its report (OptimalItemReport::
+/// flow) for callers that export plans.
 [[nodiscard]] OptimalBaselineResult solve_optimal_baseline(
     const RequestSequence& sequence, const CostModel& model,
-    const OptimalOfflineOptions& dp = {}, ThreadPool* pool = nullptr);
+    const OptimalOfflineOptions& dp = {}, ThreadPool* pool = nullptr,
+    bool keep_flows = false);
 
 /// Per-pair outcome of Package_Served.
 struct PackageServedPair {
@@ -48,6 +48,7 @@ struct PackageServedPair {
   Cost cost = 0.0;                 // 2α-discounted DP over the union flow
   std::size_t total_accesses = 0;  // |d_a| + |d_b|
   Schedule schedule;
+  Flow flow;  // the union flow; empty unless keep_flows was set
 
   [[nodiscard]] double ave_cost() const noexcept {
     return total_accesses == 0 ? 0.0
@@ -62,11 +63,17 @@ struct PackageServedResult {
   Cost total_cost = 0.0;
   std::size_t total_item_accesses = 0;
   double ave_cost = 0.0;
+  /// Wall-clock of Phase 1 (correlation analysis + pairing) inside this
+  /// solve.
+  double phase1_seconds = 0.0;
 };
 
+/// `keep_flows` keeps every solved flow in its report (PackageServedPair::
+/// flow, OptimalItemReport::flow) for callers that export plans.
 [[nodiscard]] PackageServedResult solve_package_served(
     const RequestSequence& sequence, const CostModel& model, double theta,
-    const OptimalOfflineOptions& dp = {}, ThreadPool* pool = nullptr);
+    const OptimalOfflineOptions& dp = {}, ThreadPool* pool = nullptr,
+    bool keep_flows = false);
 
 /// Package_Served for one explicit pair (figure harnesses sweep pairs
 /// directly): the union flow of requests touching either item, served as a

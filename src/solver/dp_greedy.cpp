@@ -10,6 +10,7 @@
 #include "solver/phase2_shard.hpp"
 #include "solver/workspace.hpp"
 #include "util/error.hpp"
+#include "util/stopwatch.hpp"
 
 namespace dpg {
 
@@ -26,10 +27,11 @@ const obs::Counter g_singleton_services =
 /// already paid for them) but do update the recency state the greedy
 /// options consult, because serving a request leaves a copy behind.
 ///
-/// The reference is one fused stateful loop; the kernel variant below
-/// splits it into SoA column passes.  Both orders of accumulation are the
-/// event order, so the two are bit-identical (cross-checked in
-/// tests/kernel_equivalence_test.cpp).
+/// The reference is one fused stateful loop that probes each row for the
+/// partner; the kernel variant below splits it into SoA column passes and
+/// finds the package events by merging the two items' index lists.  Both
+/// orders of accumulation are the event order, so the two are bit-identical
+/// (cross-checked in tests/kernel_equivalence_test.cpp).
 void serve_singletons_scalar(const RequestSequence& sequence,
                              const CostModel& model, ItemId item,
                              ItemId partner, PackageReport& report,
@@ -92,6 +94,12 @@ void serve_singletons_kernel(const RequestSequence& sequence,
   sc.is_package.resize(e_count);
 
   // Pass 1: recency gather (inherently serial — each event updates state).
+  // A package event is one the partner's index list also holds; a cursor
+  // over that list, only ever moving forward, finds them without probing
+  // any row's item set.
+  const std::span<const std::size_t> partner_events =
+      sequence.indices_for_item(partner);
+  std::size_t partner_cursor = 0;
   Time prev_time = 0.0;
   ws.server_times.assign(sequence.server_count(), -1.0);
   std::vector<Time>& last_on_server = ws.server_times;
@@ -100,10 +108,14 @@ void serve_singletons_kernel(const RequestSequence& sequence,
     const std::size_t index = events[e];
     const ServerId server = sequence.server_of(index);
     const Time time = sequence.time_of(index);
+    partner_cursor = seek_index(partner_events, partner_cursor, index);
     sc.time[e] = time;
     sc.prev_time[e] = prev_time;
     sc.same_time[e] = last_on_server[server];
-    sc.is_package[e] = sequence[index].contains(partner) ? 1 : 0;
+    sc.is_package[e] = partner_cursor < partner_events.size() &&
+                               partner_events[partner_cursor] == index
+                           ? 1
+                           : 0;
     prev_time = time;
     last_on_server[server] = time;
   }
@@ -156,37 +168,23 @@ void serve_singletons(const RequestSequence& sequence, const CostModel& model,
 PackageReport solve_pair_package_ws(const RequestSequence& sequence,
                                     const CostModel& model, ItemPair pair,
                                     const OptimalOfflineOptions& dp,
-                                    SolverWorkspace& ws) {
+                                    SolverWorkspace& ws, bool keep_flow) {
   PackageReport report;
   report.pair = pair;
   report.total_accesses =
       sequence.item_frequency(pair.a) + sequence.item_frequency(pair.b);
 
-  make_package_flow(sequence, pair.a, pair.b, ws.flow);
-  report.co_request_count = ws.flow.size();
+  Flow& flow = keep_flow ? report.package_flow : ws.flow;
+  make_package_flow(sequence, pair.a, pair.b, flow);
+  report.co_request_count = flow.size();
   SolveResult package =
-      solve_optimal_offline(ws.flow, model, sequence.server_count(), dp, &ws);
+      solve_optimal_offline(flow, model, sequence.server_count(), dp, &ws);
   report.package_cost = package.cost;  // already 2α-discounted
   report.package_schedule = std::move(package.schedule);
 
   serve_singletons(sequence, model, pair.a, pair.b, report, dp, ws);
   serve_singletons(sequence, model, pair.b, pair.a, report, dp, ws);
   g_singleton_services.add(report.services.size());
-  return report;
-}
-
-SingleItemReport solve_single_ws(const RequestSequence& sequence,
-                                 const CostModel& model, ItemId item,
-                                 const OptimalOfflineOptions& dp,
-                                 SolverWorkspace& ws) {
-  SingleItemReport report;
-  report.item = item;
-  report.accesses = sequence.item_frequency(item);
-  make_item_flow(sequence, item, ws.flow);
-  SolveResult solved =
-      solve_optimal_offline(ws.flow, model, sequence.server_count(), dp, &ws);
-  report.cost = solved.cost;
-  report.schedule = std::move(solved.schedule);
   return report;
 }
 
@@ -199,7 +197,25 @@ PackageReport solve_pair_package(const RequestSequence& sequence,
   model.validate();
   SolverWorkspace local;
   return solve_pair_package_ws(sequence, model, pair, dp,
-                               workspace != nullptr ? *workspace : local);
+                               workspace != nullptr ? *workspace : local,
+                               /*keep_flow=*/false);
+}
+
+SingleItemReport solve_single_item(const RequestSequence& sequence,
+                                   const CostModel& model, ItemId item,
+                                   const OptimalOfflineOptions& dp,
+                                   SolverWorkspace& workspace,
+                                   bool keep_flow) {
+  SingleItemReport report;
+  report.item = item;
+  report.accesses = sequence.item_frequency(item);
+  Flow& flow = keep_flow ? report.flow : workspace.flow;
+  make_item_flow(sequence, item, flow);
+  SolveResult solved = solve_optimal_offline(
+      flow, model, sequence.server_count(), dp, &workspace);
+  report.cost = solved.cost;
+  report.schedule = std::move(solved.schedule);
+  return report;
 }
 
 DpGreedyResult solve_dp_greedy(const RequestSequence& sequence,
@@ -218,11 +234,13 @@ DpGreedyResult solve_dp_greedy(const RequestSequence& sequence,
   // shards over the Phase-2 pool unless the caller pinned its own.
   {
     const obs::TraceSpan phase1_span("dp_greedy/phase1");
+    const Stopwatch phase1;
     CorrelationOptions correlation = options.correlation;
     if (correlation.pool == nullptr) correlation.pool = options.pool;
     const CorrelationAnalysis analysis(sequence, correlation);
     result.packing =
         greedy_pairing(analysis, options.theta, options.inclusive_threshold);
+    result.phase1_seconds = phase1.elapsed_seconds();
   }
 
   // Phase 2: independent per-package and per-single solves, sharded through
@@ -240,13 +258,13 @@ DpGreedyResult solve_dp_greedy(const RequestSequence& sequence,
       options.pool, pair_count + single_count,
       [&](std::size_t i, SolverWorkspace& ws) {
         if (i < pair_count) {
-          result.packages[i] = solve_pair_package_ws(
-              sequence, model, result.packing.pairs[i], options.dp, ws);
+          result.packages[i] =
+              solve_pair_package_ws(sequence, model, result.packing.pairs[i],
+                                    options.dp, ws, options.keep_flows);
         } else {
-          result.singles[i - pair_count] =
-              solve_single_ws(sequence, model,
-                              result.packing.singles[i - pair_count],
-                              options.dp, ws);
+          result.singles[i - pair_count] = solve_single_item(
+              sequence, model, result.packing.singles[i - pair_count],
+              options.dp, ws, options.keep_flows);
         }
       });
 

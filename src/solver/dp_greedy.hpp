@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/cost_model.hpp"
+#include "core/flow.hpp"
 #include "core/request.hpp"
 #include "core/schedule.hpp"
 #include "solver/optimal_offline.hpp"
@@ -41,6 +42,10 @@ struct DpGreedyOptions {
   /// When set, package solves fan out over this pool (packages are
   /// independent, so results are identical to the serial path).
   ThreadPool* pool = nullptr;
+  /// Keep each flow Phase 2 solved in its report (PackageReport::
+  /// package_flow, SingleItemReport::flow) so callers that export plans need
+  /// not rebuild it.  Off, the flows live only in the solve's scratch.
+  bool keep_flows = false;
 };
 
 /// How one single-item request of a packed pair was served (Observation 2).
@@ -66,6 +71,7 @@ struct PackageReport {
   std::size_t co_request_count = 0;
   std::size_t total_accesses = 0;  // |d_a| + |d_b|
   Schedule package_schedule;       // validatable against the package flow
+  Flow package_flow;               // empty unless keep_flows was set
   std::vector<SingletonService> services;
 
   [[nodiscard]] Cost total_cost() const noexcept {
@@ -85,6 +91,7 @@ struct SingleItemReport {
   Cost cost = 0.0;
   std::size_t accesses = 0;
   Schedule schedule;
+  Flow flow;  // the item's flow; empty unless the solve was asked to keep it
 };
 
 /// Full DP_Greedy outcome.
@@ -96,6 +103,9 @@ struct DpGreedyResult {
   std::size_t total_item_accesses = 0;
   /// Algorithm 1's output: total_cost / Σ|d_i|.
   double ave_cost = 0.0;
+  /// Wall-clock of Phase 1 (correlation analysis + pairing) inside this
+  /// solve.
+  double phase1_seconds = 0.0;
 };
 
 /// Runs both phases over the whole sequence.
@@ -110,5 +120,13 @@ struct DpGreedyResult {
 [[nodiscard]] PackageReport solve_pair_package(
     const RequestSequence& sequence, const CostModel& model, ItemPair pair,
     const OptimalOfflineOptions& dp = {}, SolverWorkspace* workspace = nullptr);
+
+/// Phase 2 for one unpacked item: the optimal offline DP over the item's
+/// flow (shared by every packing solver and the Optimal baseline).  The
+/// flow is built in `workspace`, or in the report when `keep_flow` is set.
+[[nodiscard]] SingleItemReport solve_single_item(
+    const RequestSequence& sequence, const CostModel& model, ItemId item,
+    const OptimalOfflineOptions& dp, SolverWorkspace& workspace,
+    bool keep_flow);
 
 }  // namespace dpg

@@ -1,6 +1,8 @@
 #include "solver/group_solver.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <span>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -9,6 +11,7 @@
 #include "solver/phase2_shard.hpp"
 #include "solver/workspace.hpp"
 #include "util/error.hpp"
+#include "util/stopwatch.hpp"
 
 namespace dpg {
 
@@ -21,48 +24,76 @@ GroupReport solve_group_package_ws(const RequestSequence& sequence,
                                    const CostModel& model,
                                    const std::vector<ItemId>& group,
                                    const OptimalOfflineOptions& dp,
-                                   SolverWorkspace& ws) {
+                                   SolverWorkspace& ws, bool keep_flow) {
   const obs::TraceSpan span("group/package");
   g_group_packages.add();
-  require(group.size() >= 2, "solve_group_package: group must have >= 2 items");
+  const std::size_t g = group.size();
+  require(g >= 2, "solve_group_package: group must have >= 2 items");
+  // Slots in ascending item id: the order a row's sorted item set lists
+  // them, so each row's per-item sum below accumulates in row order.
+  std::vector<std::size_t> order(g);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&group](std::size_t x, std::size_t y) {
+    return group[x] < group[y];
+  });
+  for (std::size_t i = 1; i < g; ++i) {
+    require(group[order[i - 1]] != group[order[i]],
+            "solve_group_package: group items must be distinct");
+  }
   GroupReport report;
   report.items = group;
   for (const ItemId item : group) {
     report.total_accesses += sequence.item_frequency(item);
   }
 
-  const Flow group_flow = make_group_flow(sequence, group);
-  report.full_request_count = group_flow.size();
+  Flow& flow = keep_flow ? report.package_flow : ws.flow;
+  make_group_flow(sequence, group, flow);
+  report.full_request_count = flow.size();
   SolveResult solved =
-      solve_optimal_offline(group_flow, model, sequence.server_count(), dp,
-                            &ws);
+      solve_optimal_offline(flow, model, sequence.server_count(), dp, &ws);
   report.package_cost = solved.cost;  // g·α-discounted
   report.package_schedule = std::move(solved.schedule);
 
   // Greedy pass over every request touching the group but not all of it.
-  const double g = static_cast<double>(group.size());
-  const Cost package_fetch = g * model.alpha * model.lambda;
+  // A k-way merge of the group's index lists visits exactly the rows that
+  // touch the group, in time order, without scanning the sequence.
+  const Cost package_fetch =
+      static_cast<double>(g) * model.alpha * model.lambda;
 
-  // Per-item recency state: previous event time and last visit per server.
-  std::vector<Time> prev_time(group.size(), 0.0);
-  std::vector<std::vector<Time>> last_on_server(
-      group.size(), std::vector<Time>(sequence.server_count(), -1.0));
-  for (auto& per_server : last_on_server) per_server[kOriginServer] = 0.0;
+  // Per-slot recency state: previous event time and last visit per server
+  // (slot-major, m entries per slot).
+  const std::size_t m = sequence.server_count();
+  std::vector<Time> prev_time(g, 0.0);
+  ws.server_times.assign(g * m, -1.0);
+  std::vector<Time>& last_on_server = ws.server_times;
+  std::vector<std::span<const std::size_t>> lists(g);
+  for (std::size_t slot = 0; slot < g; ++slot) {
+    last_on_server[slot * m + kOriginServer] = 0.0;
+    lists[slot] = sequence.indices_for_item(group[slot]);
+  }
+  std::vector<std::size_t> cursors(g, 0);
+  std::vector<std::size_t> present;  // group slots requested by this row
+  present.reserve(g);
 
-  const auto slot_of = [&group](ItemId item) {
-    return static_cast<std::size_t>(
-        std::find(group.begin(), group.end(), item) - group.begin());
-  };
-
-  for (const Request& r : sequence.requests()) {
-    std::vector<std::size_t> present;  // group slots requested here
-    for (const ItemId item : r.items) {
-      if (std::find(group.begin(), group.end(), item) != group.end()) {
-        present.push_back(slot_of(item));
+  for (;;) {
+    std::size_t index = ServicePoint::kNoRequest;
+    for (std::size_t slot = 0; slot < g; ++slot) {
+      if (cursors[slot] < lists[slot].size()) {
+        index = std::min(index, lists[slot][cursors[slot]]);
       }
     }
-    if (present.empty()) continue;
-    if (present.size() < group.size()) {
+    if (index == ServicePoint::kNoRequest) break;
+    present.clear();
+    for (const std::size_t slot : order) {
+      if (cursors[slot] < lists[slot].size() &&
+          lists[slot][cursors[slot]] == index) {
+        present.push_back(slot);
+        ++cursors[slot];
+      }
+    }
+    const ServerId server = sequence.server_of(index);
+    const Time time = sequence.time_of(index);
+    if (present.size() < g) {
       g_group_partials.add();
       Cost individual_total = 0.0;
       Cost individual_transfer = 0.0;  // λ-side of the per-item choices
@@ -71,11 +102,11 @@ GroupReport solve_group_package_ws(const RequestSequence& sequence,
         // Branch-light two-way choice (solver/kernels.hpp) — the ∞ sentinel
         // goes in directly rather than via a μ·∞ product, same bits as the
         // original if/else accounting.
-        const Time last = last_on_server[slot][r.server];
+        const Time last = last_on_server[slot * m + server];
         const Cost cache_option =
-            last >= 0.0 ? model.mu * (r.time - last) : kInfiniteCost;
+            last >= 0.0 ? model.mu * (time - last) : kInfiniteCost;
         const Cost transfer_option =
-            model.mu * (r.time - prev_time[slot]) + model.lambda;
+            model.mu * (time - prev_time[slot]) + model.lambda;
         bool took_transfer = false;
         individual_total += kernels::min_cache_transfer(
             cache_option, transfer_option, &took_transfer);
@@ -92,25 +123,10 @@ GroupReport solve_group_package_ws(const RequestSequence& sequence,
       }
     }
     for (const std::size_t slot : present) {
-      prev_time[slot] = r.time;
-      last_on_server[slot][r.server] = r.time;
+      prev_time[slot] = time;
+      last_on_server[slot * m + server] = time;
     }
   }
-  return report;
-}
-
-SingleItemReport solve_group_single_ws(const RequestSequence& sequence,
-                                       const CostModel& model, ItemId item,
-                                       const OptimalOfflineOptions& dp,
-                                       SolverWorkspace& ws) {
-  SingleItemReport report;
-  report.item = item;
-  report.accesses = sequence.item_frequency(item);
-  make_item_flow(sequence, item, ws.flow);
-  SolveResult solved =
-      solve_optimal_offline(ws.flow, model, sequence.server_count(), dp, &ws);
-  report.cost = solved.cost;
-  report.schedule = std::move(solved.schedule);
   return report;
 }
 
@@ -122,7 +138,8 @@ GroupReport solve_group_package(const RequestSequence& sequence,
                                 const OptimalOfflineOptions& dp) {
   model.validate();
   SolverWorkspace ws;
-  return solve_group_package_ws(sequence, model, group, dp, ws);
+  return solve_group_package_ws(sequence, model, group, dp, ws,
+                                /*keep_flow=*/false);
 }
 
 GroupDpGreedyResult solve_group_dp_greedy(const RequestSequence& sequence,
@@ -135,9 +152,13 @@ GroupDpGreedyResult solve_group_dp_greedy(const RequestSequence& sequence,
   result.total_item_accesses = sequence.total_item_accesses();
 
   const obs::TraceSpan solve_span("solve/group_dp_greedy");
-  const CorrelationAnalysis analysis(sequence);
-  result.packing =
-      greedy_grouping(analysis, options.theta, options.max_group_size);
+  {
+    const Stopwatch phase1;
+    const CorrelationAnalysis analysis(sequence);
+    result.packing =
+        greedy_grouping(analysis, options.theta, options.max_group_size);
+    result.phase1_seconds = phase1.elapsed_seconds();
+  }
 
   // Phase 2: independent per-group and per-single solves, sharded through
   // solver/phase2_shard.hpp into pre-sized slots (bit-identical reductions
@@ -151,12 +172,12 @@ GroupDpGreedyResult solve_group_dp_greedy(const RequestSequence& sequence,
       [&](std::size_t i, SolverWorkspace& ws) {
         if (i < group_count) {
           result.groups[i] = solve_group_package_ws(
-              sequence, model, result.packing.groups[i], options.dp, ws);
+              sequence, model, result.packing.groups[i], options.dp, ws,
+              options.keep_flows);
         } else {
-          result.singles[i - group_count] =
-              solve_group_single_ws(sequence, model,
-                                    result.packing.singles[i - group_count],
-                                    options.dp, ws);
+          result.singles[i - group_count] = solve_single_item(
+              sequence, model, result.packing.singles[i - group_count],
+              options.dp, ws, options.keep_flows);
         }
       });
 

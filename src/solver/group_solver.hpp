@@ -36,6 +36,7 @@ struct GroupReport {
   std::size_t full_request_count = 0;
   std::size_t total_accesses = 0;  // Σ |d_i| over the group
   Schedule package_schedule;
+  Flow package_flow;  // full-group flow; empty unless keep_flows was set
 
   [[nodiscard]] Cost total_cost() const noexcept {
     return package_cost + partial_cost;
@@ -49,6 +50,9 @@ struct GroupDpGreedyResult {
   Cost total_cost = 0.0;
   std::size_t total_item_accesses = 0;
   double ave_cost = 0.0;
+  /// Wall-clock of Phase 1 (correlation analysis + grouping) inside this
+  /// solve.
+  double phase1_seconds = 0.0;
 };
 
 struct GroupDpGreedyOptions {
@@ -58,13 +62,17 @@ struct GroupDpGreedyOptions {
   /// When set, the per-group/per-single Phase-2 solves shard over this pool
   /// (results are bit-identical to the serial path).
   ThreadPool* pool = nullptr;
+  /// Keep each solved flow in its report (GroupReport::package_flow,
+  /// SingleItemReport::flow), as DpGreedyOptions::keep_flows does.
+  bool keep_flows = false;
 };
 
 [[nodiscard]] GroupDpGreedyResult solve_group_dp_greedy(
     const RequestSequence& sequence, const CostModel& model,
     const GroupDpGreedyOptions& options = {});
 
-/// Phase 2 for one explicit group (harness entry point).
+/// Phase 2 for one explicit group (harness entry point).  The group's items
+/// must be distinct; their order is free.
 [[nodiscard]] GroupReport solve_group_package(
     const RequestSequence& sequence, const CostModel& model,
     const std::vector<ItemId>& group, const OptimalOfflineOptions& dp = {});

@@ -76,7 +76,7 @@ struct SingletonScratch {
 
 /// The reusable scratch of one solver "lane".
 struct SolverWorkspace {
-  /// Flow-build buffer: make_item_flow / make_package_flow write here.
+  /// Flow-build buffer: the core/flow.hpp builders write here.
   Flow flow;
 
   /// Section-V pre-scan index, rebuilt in place per solve.

@@ -168,7 +168,7 @@ SolverConfig config_of(const RunFlags& flags) {
   return config;
 }
 
-void print_reports(const std::vector<RunReport>& reports,
+void print_reports(std::span<const RunReport> reports,
                    const std::string& format) {
   if (format == "table") {
     std::printf("%s", render_comparison(reports).c_str());
@@ -421,7 +421,7 @@ int cmd_solve(int argc, const char* const* argv) {
     }
     std::printf("%s\n", table.render().c_str());
   }
-  print_reports({report}, *format);
+  print_reports({&report, 1}, *format);
   std::printf("total %s over %zu item accesses — ave_cost %s\n",
               format_fixed(report.total_cost, 2).c_str(),
               report.total_item_accesses,
