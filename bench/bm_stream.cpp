@@ -1,8 +1,7 @@
 // Streaming-engine perf harness: sustained push ingest rate, the O(window)
 // steady-state memory ceiling, snapshot latency under load, the running
-// online-vs-offline cost-ratio probe, the decode→push pipeline vs the
-// per-push serial serve loop, and the sharded N×M topology vs its serial
-// anchors — emitted as the "streaming", "streaming_pipeline" and
+// online-vs-offline cost-ratio probe, and the serve runtime (1×1 inline,
+// 2×1 and 2×2) vs its serial anchors — emitted as the "streaming" and
 // "streaming_sharded" sections of a fragment for dpgreedy_bench to merge
 // (see bench/harness/fragment.hpp).
 //
@@ -28,14 +27,12 @@
 #include <vector>
 
 #include "engine/serve_config.hpp"
-#include "engine/serve_pipeline.hpp"
 #include "engine/sharded_serve.hpp"
 #include "engine/streaming_engine.hpp"
-#include "trace/shard_source.hpp"
 #include "harness/fragment.hpp"
 #include "harness_common.hpp"
-#include "trace/block_reader.hpp"
 #include "trace/io.hpp"
+#include "trace/shard_source.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -192,30 +189,6 @@ ProbeReport run_probe(std::size_t requests) {
   return report;
 }
 
-/// The decode→push pipeline vs the per-push serial serve path, both reading
-/// the same on-disk CSV so the comparison includes the decode work the
-/// pipeline overlaps with ingest.  The trace is streamed to disk row by row
-/// (never materialized) so the harness stays O(window + batch) in memory.
-struct PipelineReport {
-  std::size_t requests = 0;
-  std::size_t batch_rows = 0;
-  std::size_t ring_capacity = 0;
-  std::uint64_t trace_bytes = 0;
-  double serial_s = 0.0;
-  double serial_requests_per_s = 0.0;
-  double pipeline_s = 0.0;
-  double pipeline_requests_per_s = 0.0;
-  double speedup = 0.0;
-  bool multicore = false;      // >= 2 hardware threads: the 2x gate arms
-  bool bit_identical = false;  // pipeline final report == serial final report
-  Cost total_cost = 0.0;
-  std::uint64_t allocs_warm = 0;
-  std::uint64_t allocs_final = 0;
-  bool allocs_flat = false;
-  std::uint64_t enqueue_blocked = 0;
-  std::uint64_t dequeue_blocked = 0;
-};
-
 std::uint64_t write_trace_csv(const std::string& path, std::size_t requests) {
   std::FILE* file = std::fopen(path.c_str(), "w");
   require(file != nullptr, "bm_stream: cannot write " + path);
@@ -237,14 +210,6 @@ std::uint64_t write_trace_csv(const std::string& path, std::size_t requests) {
   return bytes > 0 ? static_cast<std::uint64_t>(bytes) : 0;
 }
 
-StreamingEngine make_pipeline_engine() {
-  StreamingOptions options = stream_options();
-  StreamSource shape;  // only for the universe hints
-  options.item_count_hint = shape.item_count;
-  options.server_count_hint = shape.server_count;
-  return StreamingEngine(CostModel{1.0, 1.0, 0.8}, options);
-}
-
 bool reports_identical(const RunReport& a, const RunReport& b) {
   return a.total_cost == b.total_cost && a.raw_cost == b.raw_cost &&
          a.cache_cost == b.cache_cost && a.transfer_cost == b.transfer_cost &&
@@ -255,76 +220,24 @@ bool reports_identical(const RunReport& a, const RunReport& b) {
          a.cache_segments == b.cache_segments;
 }
 
-PipelineReport run_pipeline_compare(const std::string& trace_path,
-                                    std::size_t requests) {
-  PipelineReport report;
-  report.requests = requests;
-  report.multicore = std::thread::hardware_concurrency() >= 2;
-  report.trace_bytes = write_trace_csv(trace_path, requests);
+/// One serve run's timing plus the O(window) ceiling seen through its
+/// snapshots.
+struct ServeRow {
+  double s = 0.0;
+  double requests_per_s = 0.0;
+  std::uint64_t allocs_warm = 0;
+  std::uint64_t allocs_final = 0;
+  bool allocs_flat = false;
+  RunReport report;
+};
 
-  // Serial baseline: the pre-pipeline serve loop — line-at-a-time CSV
-  // decode and one engine.push() per row, all on one thread.
-  RunReport serial_report;
-  {
-    std::ifstream file(trace_path, std::ios::binary);
-    require(file.is_open(), "bm_stream: cannot reopen " + trace_path);
-    CsvStreamReader reader(file, trace_path);
-    StreamingEngine engine = make_pipeline_engine();
-    CsvStreamRow row;
-    Stopwatch watch;
-    while (reader.next(row)) engine.push(row.server, row.time, row.items);
-    report.serial_s = watch.elapsed_seconds();
-    serial_report = engine.finish();
-  }
-
-  // Pipelined: chunked CSV decode on a producer thread, block hand-off over
-  // the SPSC ring, push_batch on this thread — the `serve --pipeline` path.
-  RunReport pipeline_report;
-  {
-    std::ifstream file(trace_path, std::ios::binary);
-    require(file.is_open(), "bm_stream: cannot reopen " + trace_path);
-    ServeConfig options;  // serve defaults: batch 1024, ring 8
-    report.batch_rows = options.batch_rows;
-    report.ring_capacity = options.ring_capacity;
-    CsvBlockReader source(file, trace_path, options.batch_rows);
-    StreamingEngine engine = make_pipeline_engine();
-    const std::size_t warm_mark =
-        std::min(requests / 2, 100 * stream_options().online.window);
-    bool warm_done = false;
-    Stopwatch watch;
-    const ServePipelineStats stats = run_serve_pipeline(
-        source, engine, options,
-        [&](const RequestBlock&, const StreamingDecision&, std::size_t rows) {
-          if (!warm_done && rows >= warm_mark) {
-            report.allocs_warm = engine.snapshot().state_alloc_events;
-            warm_done = true;
-          }
-        });
-    report.pipeline_s = watch.elapsed_seconds();
-    report.allocs_final = engine.snapshot().state_alloc_events;
-    report.enqueue_blocked = stats.enqueue_blocked;
-    report.dequeue_blocked = stats.dequeue_blocked;
-    pipeline_report = engine.finish();
-  }
-
-  report.serial_requests_per_s =
-      static_cast<double>(requests) / std::max(report.serial_s, 1e-12);
-  report.pipeline_requests_per_s =
-      static_cast<double>(requests) / std::max(report.pipeline_s, 1e-12);
-  report.speedup = report.serial_s / std::max(report.pipeline_s, 1e-12);
-  report.bit_identical = reports_identical(serial_report, pipeline_report);
-  report.total_cost = pipeline_report.total_cost;
-  report.allocs_flat = report.allocs_final == report.allocs_warm;
-  std::remove(trace_path.c_str());
-  return report;
-}
-
-/// The sharded N×M topology against its two determinism anchors, plus the
-/// throughput floor: a 2×1 run must reproduce the 1×1 pipeline report
-/// bit-for-bit (M = 1 ingests the exact global stream), and a 2×2 run by
-/// item set must reproduce a serial routed two-engine reference (the
+/// The serve runtime against its determinism anchors, plus the throughput
+/// floor, all over the same on-disk CSV: the 1×1 run (inline, no threads)
+/// must reproduce the serial per-push loop bit-for-bit, a 2×1 run must
+/// reproduce the 1×1 run (M = 1 ingests the exact global stream), and a 2×2
+/// run by item set must reproduce a serial routed two-engine reference (the
 /// canonical partitioned answer).  Timing compares the 2×2 run to the
-/// serial per-push loop over the same on-disk CSV.
+/// serial per-push loop.
 struct ShardedReport {
   std::size_t requests = 0;
   std::size_t shards = 2;
@@ -333,11 +246,13 @@ struct ShardedReport {
   std::size_t ring_capacity = 0;
   double serial_s = 0.0;
   double serial_requests_per_s = 0.0;
+  ServeRow one_by_one;                 // the 1×1 inline run
+  bool one_by_one_identical = false;   // 1x1 == serial per-push loop
   double sharded_s = 0.0;
   double sharded_requests_per_s = 0.0;
   double speedup = 0.0;
   bool multicore = false;  // >= 4 hardware threads: the 2x gate arms
-  bool bit_identical = false;         // 2x1 == 1x1 pipeline (and serial)
+  bool bit_identical = false;          // 2x1 == 1x1 run
   bool partitioned_identical = false;  // 2x2 == routed serial reference
   Cost total_cost = 0.0;
   std::uint64_t allocs_warm = 0;
@@ -365,19 +280,9 @@ ShardedReport run_sharded_compare(const std::string& trace_path,
     return file;
   };
 
-  // Anchor 1: the 1×1 pipeline report (PR 9's own anchor is the per-push
-  // loop, so matching this transitively matches both).
-  RunReport pipeline_report;
-  {
-    std::ifstream file = open_trace();
-    const ServeConfig config;
-    CsvBlockReader source(file, trace_path, config.batch_rows);
-    StreamingEngine engine(model, eopts);
-    run_serve_pipeline(source, engine, config, {});
-    pipeline_report = engine.finish();
-  }
-
-  // Timing baseline: the serial per-push loop (decode + push, one thread).
+  // The serial per-push loop (decode + push, one thread): the timing
+  // baseline and the 1×1 anchor.
+  RunReport serial_report;
   {
     std::ifstream file = open_trace();
     CsvStreamReader reader(file, trace_path);
@@ -386,21 +291,50 @@ ShardedReport run_sharded_compare(const std::string& trace_path,
     Stopwatch watch;
     while (reader.next(row)) engine.push(row.server, row.time, row.items);
     report.serial_s = watch.elapsed_seconds();
-    (void)engine.finish();
+    serial_report = engine.finish();
   }
 
-  // 2×1: two decode shards, one engine partition — bit-identity required.
-  {
+  // A timed serve run at (shards, partitions), snapshotting on the ingest
+  // cadence for the allocation ceiling (merged state_alloc_events sums the
+  // partitions).
+  const auto serve = [&](std::size_t shards, std::size_t partitions) {
     std::ifstream file = open_trace();
     ServeConfig config;
-    config.shards(2).partitions(1);
+    config.shards(shards).partitions(partitions).route(ServeRoute::kByItemSet)
+        .snapshot_every(std::max<std::size_t>(requests / 10, 1));
+    report.batch_rows = config.batch_rows;
+    report.ring_capacity = config.ring_capacity;
     CsvClaimSource source(file, trace_path, config.batch_rows, 0);
-    const ShardedServeResult result =
-        run_sharded_serve(source, model, config, eopts);
-    report.bit_identical =
-        result.feed_error.empty() &&
-        reports_identical(result.report, pipeline_report);
-  }
+    const std::size_t warm_mark =
+        std::min(requests / 2, 100 * eopts.online.window);
+    bool warm_done = false;
+    ServeRow row;
+    Stopwatch watch;
+    const ShardedServeResult result = run_sharded_serve(
+        source, model, config, eopts,
+        [&](const StreamingSnapshot& s, std::size_t rows) {
+          if (!warm_done && rows >= warm_mark) {
+            row.allocs_warm = s.state_alloc_events;
+            warm_done = true;
+          }
+          row.allocs_final = s.state_alloc_events;
+        });
+    row.s = watch.elapsed_seconds();
+    row.requests_per_s =
+        static_cast<double>(requests) / std::max(row.s, 1e-12);
+    row.allocs_flat = warm_done && row.allocs_final == row.allocs_warm;
+    require(result.feed_error.empty(), "bm_stream: " + result.feed_error);
+    row.report = result.report;
+    report.enqueue_blocked = result.stats.enqueue_blocked;
+    report.dequeue_blocked = result.stats.dequeue_blocked;
+    return row;
+  };
+
+  report.one_by_one = serve(1, 1);
+  report.one_by_one_identical =
+      reports_identical(report.one_by_one.report, serial_report);
+  report.bit_identical =
+      reports_identical(serve(2, 1).report, report.one_by_one.report);
 
   // Anchor 2: the serial routed reference for M = 2 by item set — decode on
   // one thread, route every row with the same hash, merge in partition
@@ -425,39 +359,14 @@ ShardedReport run_sharded_compare(const std::string& trace_path,
     reference_report = merge_partition_reports(parts);
   }
 
-  // The timed 2×2 run, snapshotting on the ingest cadence for the
-  // allocation ceiling (merged state_alloc_events sums the partitions).
-  {
-    std::ifstream file = open_trace();
-    ServeConfig config;
-    config.shards(2).partitions(2).route(ServeRoute::kByItemSet).snapshot_every(
-        std::max<std::size_t>(requests / 10, 1));
-    report.batch_rows = config.batch_rows;
-    report.ring_capacity = config.ring_capacity;
-    CsvClaimSource source(file, trace_path, config.batch_rows, 0);
-    const std::size_t warm_mark =
-        std::min(requests / 2, 100 * eopts.online.window);
-    bool warm_done = false;
-    Stopwatch watch;
-    const ShardedServeResult result = run_sharded_serve(
-        source, model, config, eopts,
-        [&](const StreamingSnapshot& s, std::size_t rows) {
-          if (!warm_done && rows >= warm_mark) {
-            report.allocs_warm = s.state_alloc_events;
-            warm_done = true;
-          }
-          report.allocs_final = s.state_alloc_events;
-        });
-    report.sharded_s = watch.elapsed_seconds();
-    report.partitioned_identical =
-        result.feed_error.empty() &&
-        reports_identical(result.report, reference_report);
-    report.total_cost = result.report.total_cost;
-    report.enqueue_blocked = result.stats.enqueue_blocked;
-    report.dequeue_blocked = result.stats.dequeue_blocked;
-    report.allocs_flat = warm_done &&
-                         report.allocs_final == report.allocs_warm;
-  }
+  const ServeRow two_by_two = serve(2, 2);
+  report.sharded_s = two_by_two.s;
+  report.partitioned_identical =
+      reports_identical(two_by_two.report, reference_report);
+  report.total_cost = two_by_two.report.total_cost;
+  report.allocs_warm = two_by_two.allocs_warm;
+  report.allocs_final = two_by_two.allocs_final;
+  report.allocs_flat = two_by_two.allocs_flat;
 
   report.serial_requests_per_s =
       static_cast<double>(requests) / std::max(report.serial_s, 1e-12);
@@ -473,15 +382,12 @@ int run(const std::string& fragment_path, std::size_t requests) {
   const IngestReport ingest = run_ingest(requests);
   std::printf("ratio probe ...\n");
   const ProbeReport probe = run_probe(std::min<std::size_t>(requests, 200000));
-  // Sampled before the pipeline comparison so the streaming section's RSS
-  // gate keeps measuring the engine alone, not the CSV decode buffers.
+  // Sampled before the serve runs so the streaming section's RSS gate keeps
+  // measuring the engine alone, not the CSV decode buffers.
   const std::uint64_t streaming_peak_rss = harness::peak_rss_bytes();
-  std::printf("pipeline vs per-push (%zu requests via on-disk CSV) ...\n",
-              requests);
-  const PipelineReport pipeline =
-      run_pipeline_compare(fragment_path + ".trace.csv", requests);
-  std::printf("sharded 2x1/2x2 vs serial (%zu requests via on-disk CSV) ...\n",
-              requests);
+  std::printf(
+      "serve 1x1/2x1/2x2 vs serial (%zu requests via on-disk CSV) ...\n",
+      requests);
   const ShardedReport sharded =
       run_sharded_compare(fragment_path + ".sharded.csv", requests);
 
@@ -511,32 +417,7 @@ int run(const std::string& fragment_path, std::size_t requests) {
           << ", \"ingest_s\": " << probe.ingest_s
           << "}, \"peak_rss_bytes\": " << streaming_peak_rss << "}";
 
-  std::ostringstream pipe_section;
-  pipe_section.setf(std::ios::fixed);
-  pipe_section.precision(3);
-  pipe_section << "{\"requests\": " << pipeline.requests
-               << ", \"batch_rows\": " << pipeline.batch_rows
-               << ", \"ring_capacity\": " << pipeline.ring_capacity
-               << ", \"trace_bytes\": " << pipeline.trace_bytes
-               << ", \"serial_s\": " << pipeline.serial_s
-               << ", \"serial_requests_per_s\": "
-               << pipeline.serial_requests_per_s
-               << ", \"pipeline_s\": " << pipeline.pipeline_s
-               << ", \"pipeline_requests_per_s\": "
-               << pipeline.pipeline_requests_per_s
-               << ", \"speedup\": " << pipeline.speedup << ", \"multicore\": "
-               << (pipeline.multicore ? "true" : "false")
-               << ", \"bit_identical\": "
-               << (pipeline.bit_identical ? "true" : "false")
-               << ", \"total_cost\": " << pipeline.total_cost
-               << ", \"allocs_warm\": " << pipeline.allocs_warm
-               << ", \"allocs_final\": " << pipeline.allocs_final
-               << ", \"allocs_flat\": "
-               << (pipeline.allocs_flat ? "true" : "false")
-               << ", \"enqueue_blocked\": " << pipeline.enqueue_blocked
-               << ", \"dequeue_blocked\": " << pipeline.dequeue_blocked
-               << ", \"peak_rss_bytes\": " << harness::peak_rss_bytes() << "}";
-
+  const ServeRow& one = sharded.one_by_one;
   std::ostringstream shard_section;
   shard_section.setf(std::ios::fixed);
   shard_section.precision(3);
@@ -548,7 +429,14 @@ int run(const std::string& fragment_path, std::size_t requests) {
                 << ", \"serial_s\": " << sharded.serial_s
                 << ", \"serial_requests_per_s\": "
                 << sharded.serial_requests_per_s
-                << ", \"sharded_s\": " << sharded.sharded_s
+                << ", \"one_by_one\": {\"serve_s\": " << one.s
+                << ", \"requests_per_s\": " << one.requests_per_s
+                << ", \"bit_identical\": "
+                << (sharded.one_by_one_identical ? "true" : "false")
+                << ", \"allocs_warm\": " << one.allocs_warm
+                << ", \"allocs_final\": " << one.allocs_final
+                << ", \"allocs_flat\": " << (one.allocs_flat ? "true" : "false")
+                << "}, \"sharded_s\": " << sharded.sharded_s
                 << ", \"sharded_requests_per_s\": "
                 << sharded.sharded_requests_per_s
                 << ", \"speedup\": " << sharded.speedup << ", \"multicore\": "
@@ -569,7 +457,6 @@ int run(const std::string& fragment_path, std::size_t requests) {
 
   const int status = bench::write_fragment(
       fragment_path, {{"streaming", section.str()},
-                      {"streaming_pipeline", pipe_section.str()},
                       {"streaming_sharded", shard_section.str()}});
   if (status == 0) std::printf("wrote %s\n", fragment_path.c_str());
 
@@ -596,18 +483,14 @@ int run(const std::string& fragment_path, std::size_t requests) {
       probe.epochs, probe.ingest_s);
 
   std::printf(
-      "pipeline: serial %.2fs (%.2fM req/s) -> pipelined %.2fs (%.2fM req/s) "
-      " speedup %.2fx (%s)  reports %s  allocs %llu -> %llu (%s)  blocked "
-      "enq %llu deq %llu\n",
-      pipeline.serial_s, pipeline.serial_requests_per_s / 1e6,
-      pipeline.pipeline_s, pipeline.pipeline_requests_per_s / 1e6,
-      pipeline.speedup, pipeline.multicore ? "multicore" : "single core",
-      pipeline.bit_identical ? "IDENTICAL" : "DIVERGED",
-      static_cast<unsigned long long>(pipeline.allocs_warm),
-      static_cast<unsigned long long>(pipeline.allocs_final),
-      pipeline.allocs_flat ? "FLAT" : "GREW",
-      static_cast<unsigned long long>(pipeline.enqueue_blocked),
-      static_cast<unsigned long long>(pipeline.dequeue_blocked));
+      "serve 1x1: serial %.2fs (%.2fM req/s) -> inline %.2fs (%.2fM req/s)  "
+      "reports %s  allocs %llu -> %llu (%s)\n",
+      sharded.serial_s, sharded.serial_requests_per_s / 1e6, one.s,
+      one.requests_per_s / 1e6,
+      sharded.one_by_one_identical ? "IDENTICAL" : "DIVERGED",
+      static_cast<unsigned long long>(one.allocs_warm),
+      static_cast<unsigned long long>(one.allocs_final),
+      one.allocs_flat ? "FLAT" : "GREW");
 
   std::printf(
       "sharded: serial %.2fs (%.2fM req/s) -> 2x2 %.2fs (%.2fM req/s)  "
@@ -626,13 +509,13 @@ int run(const std::string& fragment_path, std::size_t requests) {
 
   // The acceptance gate: O(window) steady state — the engine's allocation
   // count is bit-flat from warm-up to the end of a 10M-request stream — the
-  // probe produced a live ratio, the decode→push pipeline reproduced the
-  // serial report bit-exactly, and the sharded topology reproduced both of
-  // its anchors (the 2x throughput floors are enforced by the registry
-  // gates, armed only on multicore hosts).
+  // probe produced a live ratio, the 1×1 serve run reproduced the serial
+  // report bit-exactly, and the sharded runs reproduced both of their
+  // anchors (the 2×2 throughput floor is enforced by the registry gates,
+  // armed only on multicore hosts).
   const bool pass = ingest.allocs_flat && probe.probe_chunks > 0 &&
-                    probe.cost_ratio > 0.0 && pipeline.bit_identical &&
-                    pipeline.allocs_flat && sharded.bit_identical &&
+                    probe.cost_ratio > 0.0 && sharded.one_by_one_identical &&
+                    one.allocs_flat && sharded.bit_identical &&
                     sharded.partitioned_identical && sharded.allocs_flat;
   std::printf("streaming acceptance: %s\n", pass ? "PASS" : "FAIL");
   return status != 0 ? status : (pass ? 0 : 2);

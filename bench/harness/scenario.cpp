@@ -162,32 +162,18 @@ const std::vector<ScenarioSpec>& scenario_registry() {
                              "ratio_probe.cost_ratio"};
       s.sections.push_back(std::move(streaming));
 
-      SectionSpec pipeline;
-      pipeline.key = "streaming_pipeline";
-      pipeline.thresholds = {
-          // The decode→push pipeline must reproduce the per-push serial
-          // final report bit-exactly at every batch size — the contract
-          // push_batch is built on.
-          gate_flag("bit_identical", true),
-          // Same O(window) ceiling through the batch path: engine
-          // allocation events bit-flat from warm-up to end of stream.
-          gate_flag("allocs_flat", true),
-          // The tentpole: overlapping CSV decode with ingest must at least
-          // double throughput over the serial per-push loop.  On single-core
-          // hosts the overlap cannot pay for itself, so the gate is skipped
-          // (bit-identity and the honest serial row above still bind).
-          with_skip_if(gate_abs("speedup", ">=", 2.0), "multicore",
-                       Json::boolean(false)),
-      };
-      pipeline.headlines = {"speedup", "pipeline_requests_per_s",
-                            "enqueue_blocked", "dequeue_blocked"};
-      s.sections.push_back(std::move(pipeline));
-
       SectionSpec sharded;
       sharded.key = "streaming_sharded";
       sharded.thresholds = {
+          // The 1×1 serve run (inline: claim → push_batch, no threads) must
+          // reproduce the serial per-push loop's final report bit-exactly —
+          // the contract push_batch is built on.
+          gate_flag("one_by_one.bit_identical", true),
+          // Same O(window) ceiling through the 1×1 serve run: engine
+          // allocation events bit-flat from warm-up to end of stream.
+          gate_flag("one_by_one.allocs_flat", true),
           // M = 1 determinism anchor: a 2-shard, 1-partition run must
-          // reproduce the 1×1 pipeline final report bit-exactly.
+          // reproduce the 1×1 run's final report bit-exactly.
           gate_flag("bit_identical", true),
           // M = 2 anchor: the 2×2 by-item-set run must reproduce the
           // serial routed two-engine reference (the canonical partitioned
@@ -205,7 +191,8 @@ const std::vector<ScenarioSpec>& scenario_registry() {
                        Json::boolean(false)),
       };
       sharded.headlines = {"speedup", "sharded_requests_per_s",
-                           "enqueue_blocked", "dequeue_blocked"};
+                           "one_by_one.requests_per_s", "enqueue_blocked",
+                           "dequeue_blocked"};
       s.sections.push_back(std::move(sharded));
 
       scenarios->push_back(std::move(s));

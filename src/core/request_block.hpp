@@ -1,11 +1,11 @@
 // RequestBlock — a bounded CSR slice of a request stream, the unit of work
-// the serve pipeline hands from the decode stage to the engine thread.
+// serve hands from a claim source (trace/shard_source.hpp) to the engines.
 //
 // Same columnar shape as a RequestSequence (servers[], times[], one items
-// pool indexed by offsets[]), but sized to a batch and reusable: the decode
-// stage fills a block, the engine consumes it via push_batch, and the empty
-// block travels back for refilling — steady state allocates nothing once
-// the columns reach their working capacity.
+// pool indexed by offsets[]), but sized to a batch and reusable: a claim
+// fills a block, the engine consumes it via push_batch, and the block is
+// refilled by the next claim — steady state allocates nothing once the
+// columns reach their working capacity.
 //
 // Two storage modes, mirroring RequestSequence:
 //   * owned  — begin_row/push_item/end_row append into owned vectors (the
@@ -172,26 +172,6 @@ class RequestBlock {
   std::span<const Time> times_v_;
   std::span<const std::size_t> offsets_v_;
   const ItemId* pool_base_ = nullptr;
-};
-
-/// A chunked request source the pipeline's decode stage drains: fills the
-/// given block with up to its chunk of rows, returning false at end of
-/// stream (block left empty).  Implementations: CsvBlockReader /
-/// SequenceBlockReader in trace/block_reader.hpp.
-class BlockSource {
- public:
-  virtual ~BlockSource() = default;
-  /// Fills `block` (clearing/overwriting previous contents) with the next
-  /// chunk.  Returns true if at least one row was produced.  Throws
-  /// IoError/FormatError with source provenance on malformed input.
-  ///
-  /// Must not block indefinitely: run_serve_pipeline's error path joins the
-  /// decode thread, which waits for the in-flight next() to return — a
-  /// source that parks forever on stream IO (e.g. a FIFO that never
-  /// produces data or EOF) turns any engine-side exception into a hang.
-  /// Sources over potentially-idle streams should poll with a timeout or
-  /// bound their reads.
-  virtual bool next(RequestBlock& block) = 0;
 };
 
 }  // namespace dpg

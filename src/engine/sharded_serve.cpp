@@ -8,14 +8,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "parallel/mpmc_ring.hpp"
 #include "parallel/spsc_ring.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -24,9 +22,8 @@ namespace dpg {
 
 namespace {
 
-// Aggregate backpressure counters (same names as the 1×1 pipeline, so the
-// metrics mean the same thing at every topology); per-shard/partition
-// suffixed labels are registered at run time below.
+// Aggregate backpressure counters; per-shard/partition suffixed labels are
+// registered at run time below.
 const obs::Counter g_ring_enqueue_blocked =
     obs::counter("ring.enqueue_blocked");
 const obs::Counter g_ring_dequeue_blocked =
@@ -36,15 +33,41 @@ const obs::Counter g_ring_dequeue_blocked =
 /// counters still cover everything and the name registry stays bounded.
 constexpr std::size_t kMaxLabelIndex = 8;
 
-/// One block in flight from a shard to a partition.  `shard` names the free
-/// ring the envelope recycles into; `seq` is the claimed block's global
-/// sequence number (every partition receives every seq exactly once, so
-/// the consumer-side reorder is a dense counter plus a holdback map).
-struct Envelope {
+/// The claimed block as a whole.  Every envelope of one seq carries the
+/// same copy, so every partition takes the same barrier and order decisions
+/// even though each sees only its own rows.
+struct BlockInfo {
   std::uint64_t seq = 0;
+  std::size_t rows_through = 0;  // stream rows through the end of the block
+  std::size_t rows = 0;          // rows in the whole claimed block
+  Time first_time = 0.0;
+  Time last_time = 0.0;
+  bool snapshot = false;  // the block ends on a snapshot cadence point
+  bool stats = false;     // the block ends on a stats cadence point
+};
+
+BlockInfo describe_block(const RequestBlock& block, std::uint64_t seq,
+                         std::size_t rows_through, const ServeConfig& config) {
+  BlockInfo info;
+  info.seq = seq;
+  info.rows_through = rows_through;
+  info.rows = block.size();
+  if (info.rows == 0) return info;  // a failed block's empty prefix
+  info.first_time = block.time_of(0);
+  info.last_time = block.time_of(info.rows - 1);
+  const auto on_cut = [rows_through](std::size_t every) {
+    return every > 0 && rows_through % every == 0;
+  };
+  info.snapshot = on_cut(config.snapshot_interval);
+  info.stats = on_cut(config.stats_interval);
+  return info;
+}
+
+/// One block in flight from a shard to a partition.  `shard` names the free
+/// ring the envelope recycles into.
+struct Envelope {
+  BlockInfo info;
   std::uint32_t shard = 0;
-  bool barrier = false;
-  std::size_t rows_through = 0;
   RequestBlock block;
 };
 
@@ -63,42 +86,13 @@ struct Backoff {
   }
 };
 
-/// The shard → partition transport, behind one interface so the shard and
-/// partition loops are topology-agnostic.  Virtual dispatch is per block,
-/// not per row — noise next to a push_batch.
-class Transport {
- public:
-  virtual ~Transport() = default;
-
-  /// Shard i: takes a recycled envelope destined for partition j.
-  /// Blocking; false only when the run is being aborted.
-  virtual bool acquire(std::size_t i, std::size_t j, Envelope& env) = 0;
-  /// Shard i: ships a filled envelope to partition j.  Blocking (this is
-  /// where work-ring backpressure lands); false only on abort.
-  virtual bool send(std::size_t i, std::size_t j, Envelope& env) = 0;
-  /// Partition j: receives any inbound envelope.  Blocking; false when
-  /// every producer is done and the inbound rings are drained.
-  virtual bool receive(std::size_t j, Envelope& env) = 0;
-  /// Partition j: returns a drained envelope to its shard's free ring.
-  virtual void recycle(std::size_t j, Envelope& env) = 0;
-  /// Shard i is done claiming; the last shard closes the work rings.
-  virtual void shard_done(std::size_t i) = 0;
-  /// Any thread: tear everything down (error path).  All blocking calls
-  /// return false promptly afterwards.
-  virtual void abort() = 0;
-
-  /// Backpressure, summed per partition (defined for both topologies).
-  [[nodiscard]] virtual std::uint64_t enqueue_blocked(std::size_t j) const = 0;
-  [[nodiscard]] virtual std::uint64_t dequeue_blocked(std::size_t j) const = 0;
-};
-
 /// One SPSC ring per (shard, partition) pair, in both directions: N×M work
 /// rings and N×M free rings.  Zero CAS anywhere; each consumer sweeps its
 /// N inbound rings with try_pop.
-class CrossbarTransport final : public Transport {
+class Crossbar {
  public:
-  CrossbarTransport(std::size_t shards, std::size_t partitions,
-                    std::size_t ring_capacity)
+  Crossbar(std::size_t shards, std::size_t partitions,
+           std::size_t ring_capacity)
       : shards_(shards), partitions_(partitions), done_(partitions) {
     // free ring capacity ring_capacity + 2 covers every envelope of the
     // (i, j) pair — in the work ring + one in each side's hands — so
@@ -117,16 +111,24 @@ class CrossbarTransport final : public Transport {
     for (auto& d : done_) d.assign(shards_, 0);
   }
 
-  bool acquire(std::size_t i, std::size_t j, Envelope& env) override {
+  /// Shard i: takes a recycled envelope destined for partition j.
+  /// Blocking; false only when the run is being aborted.
+  bool acquire(std::size_t i, std::size_t j, Envelope& env) {
     return free_[i * partitions_ + j]->pop(env);
   }
 
-  bool send(std::size_t i, std::size_t j, Envelope& env) override {
+  /// Shard i: ships a filled envelope to partition j.  Blocking (this is
+  /// where work-ring backpressure lands); false only on abort.
+  bool send(std::size_t i, std::size_t j, Envelope& env) {
     return work_[i * partitions_ + j]->push(env);
   }
 
-  bool receive(std::size_t j, Envelope& env) override {
+  /// Partition j: receives any inbound envelope.  Blocking; false when
+  /// every shard is done and the inbound rings are drained.
+  bool receive(std::size_t j, Envelope& env) {
     std::vector<char>& done = done_[j];
+    // One wait ladder across empty sweeps: a fresh ladder per sweep would
+    // never reach the sleep rung.
     Backoff backoff;
     for (;;) {
       std::size_t open = 0;
@@ -146,29 +148,32 @@ class CrossbarTransport final : public Transport {
       if (open == 0) return false;
       idle_waits_[j].count.fetch_add(1, std::memory_order_relaxed);
       backoff.wait();
-      // A fresh wait ladder per empty sweep would never reach the sleep
-      // rung; keep the round count across sweeps until something arrives.
     }
   }
 
-  void recycle(std::size_t j, Envelope& env) override {
+  /// Partition j: returns a drained envelope to its shard's free ring.
+  void recycle(std::size_t j, Envelope& env) {
     // Capacity covers every envelope of the pair, so this fails only when
     // the ring was closed by abort() — then the envelope is simply dropped.
     if (!free_[env.shard * partitions_ + j]->try_push(env)) env = Envelope{};
   }
 
-  void shard_done(std::size_t i) override {
+  /// Shard i is done claiming: closes its work rings.
+  void shard_done(std::size_t i) {
     for (std::size_t j = 0; j < partitions_; ++j) {
       work_[i * partitions_ + j]->close();
     }
   }
 
-  void abort() override {
+  /// Any thread: tear everything down (error path).  All blocking calls
+  /// return false promptly afterwards.
+  void abort() {
     for (auto& ring : work_) ring->close();
     for (auto& ring : free_) ring->close();
   }
 
-  std::uint64_t enqueue_blocked(std::size_t j) const override {
+  /// Backpressure, summed per partition.
+  [[nodiscard]] std::uint64_t enqueue_blocked(std::size_t j) const {
     std::uint64_t total = 0;
     for (std::size_t i = 0; i < shards_; ++i) {
       total += work_[i * partitions_ + j]->push_blocked();
@@ -176,7 +181,7 @@ class CrossbarTransport final : public Transport {
     return total;
   }
 
-  std::uint64_t dequeue_blocked(std::size_t j) const override {
+  [[nodiscard]] std::uint64_t dequeue_blocked(std::size_t j) const {
     return idle_waits_[j].count.load(std::memory_order_relaxed);
   }
 
@@ -193,76 +198,113 @@ class CrossbarTransport final : public Transport {
   std::array<PaddedCount, 64> idle_waits_;  // ServeConfig caps partitions at 64
 };
 
-/// One MPMC work ring per partition (N producers each) and one MPMC free
-/// ring per shard (M producers each): N + M rings total, CAS-claimed slots.
-class MpmcTransport final : public Transport {
- public:
-  MpmcTransport(std::size_t shards, std::size_t partitions,
-                std::size_t ring_capacity)
-      : active_shards_(shards) {
-    for (std::size_t j = 0; j < partitions; ++j) {
-      work_.push_back(std::make_unique<MpmcRing<Envelope>>(ring_capacity));
-    }
-    // Each shard's envelope pool must cover all its partitions' rings plus
-    // the in-hand slots, same sizing argument as the crossbar per pair.
-    const std::size_t pool = partitions * (ring_capacity + 2);
-    for (std::size_t i = 0; i < shards; ++i) {
-      free_.push_back(std::make_unique<MpmcRing<Envelope>>(pool));
-      Envelope env;
-      for (std::size_t k = 0; k < pool; ++k) {
-        const bool ok = free_.back()->try_push(env);
-        require(ok, "sharded_serve: free ring under-sized");
-        env = Envelope{};
-      }
-    }
-  }
-
-  bool acquire(std::size_t i, std::size_t /*j*/, Envelope& env) override {
-    return free_[i]->pop(env);
-  }
-
-  bool send(std::size_t /*i*/, std::size_t j, Envelope& env) override {
-    return work_[j]->push(env);
-  }
-
-  bool receive(std::size_t j, Envelope& env) override {
-    return work_[j]->pop(env);
-  }
-
-  void recycle(std::size_t /*j*/, Envelope& env) override {
-    if (!free_[env.shard]->try_push(env)) env = Envelope{};
-  }
-
-  void shard_done(std::size_t /*i*/) override {
-    if (active_shards_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      for (auto& ring : work_) ring->close();
-    }
-  }
-
-  void abort() override {
-    for (auto& ring : work_) ring->close();
-    for (auto& ring : free_) ring->close();
-  }
-
-  std::uint64_t enqueue_blocked(std::size_t j) const override {
-    return work_[j]->push_blocked();
-  }
-
-  std::uint64_t dequeue_blocked(std::size_t j) const override {
-    return work_[j]->pop_blocked();
-  }
-
- private:
-  std::vector<std::unique_ptr<MpmcRing<Envelope>>> work_;  // per partition
-  std::vector<std::unique_ptr<MpmcRing<Envelope>>> free_;  // per shard
-  std::atomic<std::size_t> active_shards_;
+/// Pending barrier: what each partition contributed until all M arrive.
+struct BarrierSlot {
+  std::vector<StreamingSnapshot> parts;  // snapshot barriers only
+  std::size_t epoch = 0;                 // max partition epoch
+  std::size_t filled = 0;
 };
 
-/// Pending barrier: per-partition snapshots collected until all M arrive.
-struct BarrierSlot {
-  std::vector<std::optional<StreamingSnapshot>> parts;
-  std::size_t filled = 0;
-  std::size_t rows_through = 0;
+/// One engine partition and what its consumer loop remembers.
+struct Partition {
+  std::unique_ptr<StreamingEngine> engine;
+  std::size_t rows = 0;    // rows ingested
+  Time last_time = 0.0;    // last time of the previous block (whole stream)
+};
+
+/// The consumer side shared by the inline and threaded runs: validates
+/// order across blocks, ingests, and meets the other partitions at
+/// barriers.
+class Consumer {
+ public:
+  Consumer(ShardClaimSource& source, const CostModel& model,
+           const ServeConfig& config, const StreamingOptions& options,
+           const ShardedSnapshotCallback& on_snapshot,
+           const ShardedStatsCallback& on_stats,
+           const ServedBlockCallback& on_block)
+      : source_(source),
+        on_snapshot_(on_snapshot),
+        on_stats_(on_stats),
+        on_block_(on_block),
+        partitions_(config.partition_count) {
+    for (Partition& p : partitions_) {
+      p.engine = std::make_unique<StreamingEngine>(model, options);
+    }
+  }
+
+  /// Partition j's share of the block `info` describes, in seq order.
+  void serve(std::size_t j, const BlockInfo& info, const RequestBlock& block) {
+    if (info.seq > source_.error_seq()) return;  // after a rejected row
+    Partition& p = partitions_[j];
+    const std::size_t first_row = info.rows_through - info.rows + 1;
+    if (info.rows > 0) {
+      if (!(info.first_time > p.last_time)) {
+        source_.report_error(
+            info.seq, source_.row_label(first_row) + ": " +
+                          backwards_time_message(info.first_time, p.last_time));
+        return;
+      }
+      p.last_time = info.last_time;
+    }
+    try {
+      p.engine->push_batch(block);
+    } catch (const Error& e) {
+      // At M = 1 the engine's prefix is the stream's prefix, so the feed
+      // can end cleanly at the rejected row; at M > 1 other partitions may
+      // be past this block, and the fault propagates.
+      if (partitions_.size() > 1) throw;
+      const std::size_t ingested = p.engine->requests_seen() - p.rows;
+      p.rows += ingested;
+      source_.report_error(info.seq, source_.row_label(first_row + ingested) +
+                                         ": " + e.what());
+      return;
+    }
+    p.rows += block.size();
+    if (on_block_) {
+      try {
+        on_block_(block);
+      } catch (const Error& e) {
+        source_.report_error(info.seq, e.what());  // served, but end here
+        return;
+      }
+    }
+    if (info.snapshot || info.stats) meet_at_barrier(j, info);
+  }
+
+  std::vector<Partition>& partitions() { return partitions_; }
+
+ private:
+  void meet_at_barrier(std::size_t j, const BlockInfo& info) {
+    StreamingEngine& engine = *partitions_[j].engine;
+    StreamingSnapshot snap;
+    if (info.snapshot) snap = engine.snapshot();
+    const std::size_t epoch = engine.epoch();
+
+    // The last contributor fires the callbacks while still holding the
+    // mutex, so they are serialized and arrive in barrier order.
+    const std::lock_guard<std::mutex> lock(barrier_mutex_);
+    BarrierSlot& slot = barriers_[info.seq];
+    if (info.snapshot) {
+      if (slot.parts.empty()) slot.parts.resize(partitions_.size());
+      slot.parts[j] = std::move(snap);
+    }
+    slot.epoch = std::max(slot.epoch, epoch);
+    if (++slot.filled < partitions_.size()) return;
+    const BarrierSlot done = std::move(slot);
+    barriers_.erase(info.seq);
+    if (info.snapshot && on_snapshot_) {
+      on_snapshot_(merge_partition_snapshots(done.parts), info.rows_through);
+    }
+    if (info.stats && on_stats_) on_stats_(info.rows_through, done.epoch);
+  }
+
+  ShardClaimSource& source_;
+  const ShardedSnapshotCallback& on_snapshot_;
+  const ShardedStatsCallback& on_stats_;
+  const ServedBlockCallback& on_block_;
+  std::vector<Partition> partitions_;
+  std::mutex barrier_mutex_;
+  std::map<std::uint64_t, BarrierSlot> barriers_;
 };
 
 }  // namespace
@@ -355,206 +397,178 @@ StreamingSnapshot merge_partition_snapshots(
 ShardedServeResult run_sharded_serve(
     ShardClaimSource& source, const CostModel& model,
     const ServeConfig& config, const StreamingOptions& engine_options,
-    const ShardedSnapshotCallback& on_snapshot) {
+    const ShardedSnapshotCallback& on_snapshot,
+    const ShardedStatsCallback& on_stats, const ServedBlockCallback& on_block) {
   config.validate();
+  require(!on_block || config.partition_count == 1,
+          "run_sharded_serve: a block callback needs partitions == 1");
   const std::size_t shards = config.shard_count;
   const std::size_t partitions = config.partition_count;
-
-  std::vector<std::unique_ptr<StreamingEngine>> engines;
-  engines.reserve(partitions);
-  for (std::size_t j = 0; j < partitions; ++j) {
-    engines.push_back(std::make_unique<StreamingEngine>(model, engine_options));
-  }
-
-  std::unique_ptr<Transport> transport;
-  if (config.ring_topology == ServeTopology::kCrossbar) {
-    transport = std::make_unique<CrossbarTransport>(shards, partitions,
-                                                    config.ring_capacity);
-  } else {
-    transport = std::make_unique<MpmcTransport>(shards, partitions,
-                                                config.ring_capacity);
-  }
-
-  // Error plumbing: the first engine/system exception wins and tears the
-  // topology down; decode errors travel through the source's error_seq
-  // instead (see the header's error contract).
-  std::mutex error_mutex;
-  std::exception_ptr first_exception;
-  std::atomic<bool> aborted{false};
-  const auto record_exception = [&](std::exception_ptr e) {
-    {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_exception) first_exception = e;
-    }
-    aborted.store(true, std::memory_order_release);
-    transport->abort();
-  };
-
-  // Barrier snapshots: collected per seq; the last contributor merges in
-  // partition-index order and fires the callback while still holding the
-  // mutex, so callbacks are serialized and arrive in barrier order.
-  std::mutex barrier_mutex;
-  std::map<std::uint64_t, BarrierSlot> barriers;
+  source.set_cadence(config.snapshot_interval, config.stats_interval);
+  Consumer consumer(source, model, config, engine_options, on_snapshot,
+                    on_stats, on_block);
 
   // Indexed per thread — each slot written by exactly one thread.
   std::vector<std::size_t> shard_rows(shards, 0);
   std::vector<std::uint64_t> shard_batches(shards, 0);
-  std::vector<std::size_t> partition_rows(partitions, 0);
+  std::vector<std::uint64_t> enqueue_blocked(partitions, 0);
+  std::vector<std::uint64_t> dequeue_blocked(partitions, 0);
 
-  const auto shard_main = [&](std::size_t i) {
-    try {
-      RequestBlock claimed;
-      std::vector<Envelope> envs(partitions);
-      std::uint64_t seq = 0;
-      std::size_t rows_through = 0;
-      while (!aborted.load(std::memory_order_acquire) &&
-             source.claim(claimed, seq, rows_through)) {
-        ++shard_batches[i];
-        shard_rows[i] += claimed.size();
-        const std::size_t interval = config.snapshot_interval;
-        const bool barrier =
-            interval > 0 && (rows_through / interval) >
-                                ((rows_through - claimed.size()) / interval);
-
-        bool ok = true;
-        for (std::size_t j = 0; j < partitions; ++j) {
-          if (!transport->acquire(i, j, envs[j])) {
-            ok = false;
-            break;
-          }
-          envs[j].seq = seq;
-          envs[j].shard = static_cast<std::uint32_t>(i);
-          envs[j].barrier = barrier;
-          envs[j].rows_through = rows_through;
-          envs[j].block.clear();
-        }
-        if (!ok) break;
-
-        if (partitions == 1) {
-          // Single partition: the whole claimed block ships as-is (swap, so
-          // zero-copy `.dpt` views ride through untouched and the envelope's
-          // owned block becomes next claim's scratch).
-          std::swap(envs[0].block, claimed);
-        } else {
-          const std::size_t rows = claimed.size();
-          for (std::size_t r = 0; r < rows; ++r) {
-            const ServerId server = claimed.server_of(r);
-            const std::span<const ItemId> items = claimed.items_of(r);
-            const std::size_t j = serve_partition_of(
-                server, items, config.flow_route, partitions);
-            envs[j].block.begin_row(server, claimed.time_of(r));
-            for (const ItemId item : items) envs[j].block.push_item(item);
-            envs[j].block.end_row();
-          }
-        }
-
-        for (std::size_t j = 0; j < partitions; ++j) {
-          if (!transport->send(i, j, envs[j])) {
-            ok = false;
-            break;
-          }
-        }
-        if (!ok) break;
-      }
-    } catch (...) {
-      record_exception(std::current_exception());
+  if (shards * partitions == 1) {
+    // Inline: claim → push_batch → barrier on the calling thread.
+    RequestBlock block;
+    std::uint64_t seq = 0;
+    std::size_t rows_through = 0;
+    while (source.claim(block, seq, rows_through)) {
+      ++shard_batches[0];
+      shard_rows[0] += block.size();
+      consumer.serve(0, describe_block(block, seq, rows_through, config),
+                     block);
     }
-    transport->shard_done(i);
-  };
+  } else {
+    Crossbar crossbar(shards, partitions, config.ring_capacity);
 
-  const auto partition_main = [&](std::size_t j) {
-    try {
-      std::map<std::uint64_t, Envelope> holdback;
-      std::uint64_t expected = 0;
-      for (;;) {
-        Envelope env;
-        const auto held = holdback.find(expected);
-        if (held != holdback.end()) {
-          env = std::move(held->second);
-          holdback.erase(held);
-        } else {
-          if (!transport->receive(j, env)) break;  // producers done+drained
-          if (env.seq != expected) {
-            holdback.emplace(env.seq, std::move(env));
-            continue;
+    // Error plumbing: the first engine/system exception wins and tears the
+    // topology down; rejected rows travel through the source's error_seq
+    // instead (see the header's error contract).
+    std::mutex error_mutex;
+    std::exception_ptr first_exception;
+    std::atomic<bool> aborted{false};
+    const auto record_exception = [&](std::exception_ptr e) {
+      {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!first_exception) first_exception = e;
+      }
+      aborted.store(true, std::memory_order_release);
+      crossbar.abort();
+    };
+
+    const auto shard_main = [&](std::size_t i) {
+      try {
+        RequestBlock claimed;
+        std::vector<Envelope> envs(partitions);
+        std::uint64_t seq = 0;
+        std::size_t rows_through = 0;
+        while (!aborted.load(std::memory_order_acquire) &&
+               source.claim(claimed, seq, rows_through)) {
+          ++shard_batches[i];
+          shard_rows[i] += claimed.size();
+          const BlockInfo info =
+              describe_block(claimed, seq, rows_through, config);
+
+          bool ok = true;
+          for (std::size_t j = 0; j < partitions && ok; ++j) {
+            ok = crossbar.acquire(i, j, envs[j]);
+            envs[j].info = info;
+            envs[j].shard = static_cast<std::uint32_t>(i);
+            envs[j].block.clear();
           }
-        }
-        ++expected;
-        // Suppress blocks after a recorded decode failure: the failing seq
-        // itself carries the valid prefix and is still served.  The
-        // error_seq store happens-before the failing block's ring push, so
-        // by the time any partition reaches a later seq the suppression is
-        // visible (partitions consume in seq order).
-        if (env.seq <= source.error_seq()) {
-          partition_rows[j] += env.block.size();
-          engines[j]->push_batch(env.block);
-          if (env.barrier) {
-            StreamingSnapshot snap = engines[j]->snapshot();
-            const std::lock_guard<std::mutex> lock(barrier_mutex);
-            BarrierSlot& slot = barriers[env.seq];
-            if (slot.parts.empty()) slot.parts.resize(partitions);
-            slot.parts[j] = std::move(snap);
-            slot.rows_through = env.rows_through;
-            if (++slot.filled == partitions) {
-              std::vector<StreamingSnapshot> parts;
-              parts.reserve(partitions);
-              for (auto& part : slot.parts) parts.push_back(std::move(*part));
-              const std::size_t rows = slot.rows_through;
-              barriers.erase(env.seq);
-              if (on_snapshot) {
-                on_snapshot(merge_partition_snapshots(parts), rows);
-              }
+          if (!ok) break;
+
+          if (partitions == 1) {
+            // Single partition: the whole claimed block ships as-is (swap,
+            // so zero-copy `.dpt` views ride through untouched and the
+            // envelope's owned block becomes next claim's scratch).
+            std::swap(envs[0].block, claimed);
+          } else {
+            const std::size_t rows = claimed.size();
+            for (std::size_t r = 0; r < rows; ++r) {
+              const ServerId server = claimed.server_of(r);
+              const std::span<const ItemId> items = claimed.items_of(r);
+              const std::size_t j = serve_partition_of(
+                  server, items, config.flow_route, partitions);
+              envs[j].block.begin_row(server, claimed.time_of(r));
+              for (const ItemId item : items) envs[j].block.push_item(item);
+              envs[j].block.end_row();
             }
           }
+
+          for (std::size_t j = 0; j < partitions && ok; ++j) {
+            ok = crossbar.send(i, j, envs[j]);
+          }
+          if (!ok) break;
         }
-        transport->recycle(j, env);
+      } catch (...) {
+        record_exception(std::current_exception());
       }
-      // Normal termination leaves the holdback empty (every claimed seq
-      // ships to every partition); entries can only remain after an abort
-      // tore the rings down mid-stream, and are dropped with it.
-    } catch (...) {
-      record_exception(std::current_exception());
+      crossbar.shard_done(i);
+    };
+
+    const auto partition_main = [&](std::size_t j) {
+      try {
+        std::map<std::uint64_t, Envelope> holdback;
+        std::uint64_t expected = 0;
+        for (;;) {
+          Envelope env;
+          const auto held = holdback.find(expected);
+          if (held != holdback.end()) {
+            env = std::move(held->second);
+            holdback.erase(held);
+          } else {
+            if (!crossbar.receive(j, env)) break;  // shards done + drained
+            if (env.info.seq != expected) {
+              holdback.emplace(env.info.seq, std::move(env));
+              continue;
+            }
+          }
+          ++expected;
+          // A decode failure's error_seq store happens-before the failing
+          // block's ring push, and partitions consume in seq order, so the
+          // suppression of later seqs inside serve() is always visible.
+          consumer.serve(j, env.info, env.block);
+          crossbar.recycle(j, env);
+        }
+        // Normal termination leaves the holdback empty (every claimed seq
+        // ships to every partition); entries can only remain after an
+        // abort tore the rings down mid-stream, and are dropped with it.
+      } catch (...) {
+        record_exception(std::current_exception());
+      }
+    };
+
+    std::vector<std::thread> threads;
+    threads.reserve(shards + partitions);
+    for (std::size_t j = 0; j < partitions; ++j) {
+      threads.emplace_back(partition_main, j);
     }
-  };
+    for (std::size_t i = 0; i < shards; ++i) {
+      threads.emplace_back(shard_main, i);
+    }
+    for (std::thread& t : threads) t.join();
 
-  std::vector<std::thread> threads;
-  threads.reserve(shards + partitions);
-  for (std::size_t j = 0; j < partitions; ++j) {
-    threads.emplace_back(partition_main, j);
+    if (first_exception) std::rethrow_exception(first_exception);
+    for (std::size_t j = 0; j < partitions; ++j) {
+      enqueue_blocked[j] = crossbar.enqueue_blocked(j);
+      dequeue_blocked[j] = crossbar.dequeue_blocked(j);
+    }
   }
-  for (std::size_t i = 0; i < shards; ++i) threads.emplace_back(shard_main, i);
-  for (std::thread& t : threads) t.join();
-
-  if (first_exception) std::rethrow_exception(first_exception);
 
   ShardedServeResult result;
   if (source.error_seq() != ShardClaimSource::kNoError) {
     result.feed_error = source.error_message();
   }
 
+  std::vector<Partition>& parts = consumer.partitions();
   result.partition_reports.reserve(partitions);
-  for (std::size_t j = 0; j < partitions; ++j) {
-    result.partition_reports.push_back(engines[j]->finish());
-    result.epoch = std::max(result.epoch, engines[j]->epoch());
-    result.probe_chunks += engines[j]->probe_chunks();
-  }
-  result.report = merge_partition_reports(result.partition_reports);
-
   Cost online_probe = 0.0;
   Cost offline_probe = 0.0;
-  for (std::size_t j = 0; j < partitions; ++j) {
-    online_probe += engines[j]->online_probe_cost();
-    offline_probe += engines[j]->offline_probe_cost();
+  for (Partition& p : parts) {
+    result.partition_reports.push_back(p.engine->finish());
+    result.epoch = std::max(result.epoch, p.engine->epoch());
+    result.probe_chunks += p.engine->probe_chunks();
+    online_probe += p.engine->online_probe_cost();
+    offline_probe += p.engine->offline_probe_cost();
+    result.stats.requests += p.rows;
   }
+  result.report = merge_partition_reports(result.partition_reports);
   result.cost_ratio = offline_probe > 0.0 ? online_probe / offline_probe : 0.0;
 
   for (std::size_t i = 0; i < shards; ++i) {
     result.stats.batches += shard_batches[i];
   }
   for (std::size_t j = 0; j < partitions; ++j) {
-    result.stats.requests += partition_rows[j];
-    result.stats.enqueue_blocked += transport->enqueue_blocked(j);
-    result.stats.dequeue_blocked += transport->dequeue_blocked(j);
+    result.stats.enqueue_blocked += enqueue_blocked[j];
+    result.stats.dequeue_blocked += dequeue_blocked[j];
   }
 
   // Mirror the backpressure into the ring.* metrics (aggregate first, then
@@ -570,11 +584,11 @@ ShardedServeResult run_sharded_serve(
   }
   for (std::size_t j = 0; j < std::min(partitions, kMaxLabelIndex); ++j) {
     obs::counter("ring.enqueue_blocked.p" + std::to_string(j))
-        .add(transport->enqueue_blocked(j));
+        .add(enqueue_blocked[j]);
     obs::counter("ring.dequeue_blocked.p" + std::to_string(j))
-        .add(transport->dequeue_blocked(j));
+        .add(dequeue_blocked[j]);
     obs::counter("stream.partition_rows.p" + std::to_string(j))
-        .add(partition_rows[j]);
+        .add(parts[j].rows);
   }
 
   return result;

@@ -133,10 +133,10 @@ class StreamingEngine {
 
   /// Serves every row of a block in trace order and returns the aggregate
   /// decision (counts summed, `repacked` if any row repacked, `epoch` after
-  /// the last row).  This is the pipelined ingest entry: one mutex
+  /// the last row).  This is serve's ingest entry: one mutex
   /// acquisition, one telemetry clock pair, and one counter update per
   /// block instead of per request — and block rows arrive
-  /// pre-canonicalized (both block readers guarantee sorted unique items),
+  /// pre-canonicalized (the RequestBlock invariant: sorted unique items),
   /// so the per-push sort/dedup copy is skipped entirely.  The engine state
   /// after push_batch is bit-identical to per-row push() at every batch
   /// size, including the ratio probe (probe buffering interleaves per row).

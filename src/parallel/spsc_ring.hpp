@@ -1,5 +1,6 @@
-// Bounded single-producer / single-consumer ring — the hand-off between the
-// serve pipeline's decode stage and the engine thread.
+// Bounded single-producer / single-consumer ring — the hand-off between a
+// serve decode shard and an engine partition (one ring per pair, the
+// crossbar in engine/sharded_serve.cpp).
 //
 // The classic two-index design: the producer owns `head_` (next write slot),
 // the consumer owns `tail_` (next read slot), each published with release

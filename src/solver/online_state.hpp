@@ -105,8 +105,8 @@ class OnlineBreakEvenState {
   /// Serves one point (strictly after every previous one).
   void advance(const ServicePoint& point);
 
-  /// Serves a run of points in order — the batch entry the pipelined serve
-  /// path uses.  Same per-point arithmetic as advance(), so the result is
+  /// Serves a run of points in order — the batch entry for block-wise
+  /// ingest.  Same per-point arithmetic as advance(), so the result is
   /// bit-identical at every batch size.
   void advance_batch(std::span<const ServicePoint> points);
 
@@ -163,7 +163,8 @@ class OnlineDpGreedyState {
   /// accumulation order, same scratch/window allocation accounting — so the
   /// state after push_batch is bit-identical to per-row pushes at every
   /// batch size.  Block rows must honor the push() contract (sorted unique
-  /// items, strictly increasing times), which both block readers guarantee.
+  /// items, strictly increasing times), which serve's claim sources and
+  /// order checks guarantee.
   Decision push_batch(const RequestBlock& block);
 
   /// Grows the item universe (new items start at the origin at time 0,

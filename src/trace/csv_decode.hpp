@@ -3,13 +3,14 @@
 // One definition of the trace CSV dialect — header-discovered column order,
 // optional plain quotes, ';'-separated item lists, CRLF tolerance — used by
 // all three consumers: the one-shot parser (trace_from_csv), the
-// line-at-a-time CsvStreamReader, and the chunked CsvBlockReader feeding the
-// serve pipeline.  Everything here is allocation-free over string_views;
-// errors carry only the row-local message (callers wrap them with
-// file/row/byte-offset provenance).
+// line-at-a-time CsvStreamReader, and the CsvClaimSource feeding serve.
+// Everything here is allocation-free over string_views; errors carry only
+// the row-local message (callers wrap them with file/row/byte-offset
+// provenance).
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <string>
 #include <string_view>
@@ -74,6 +75,19 @@ inline double fast_parse_double(std::string_view field) {
       std::from_chars(field.data(), field.data() + field.size(), value);
   if (ec == std::errc{} && ptr == field.data() + field.size()) return value;
   return parse_double(field);
+}
+
+/// A request time: finite and > 0, the rule RequestSequence enforces.  An
+/// `inf` or `nan` parses as a double, so the check cannot be left to the
+/// number parser; a row that fails it is rejected here, with provenance,
+/// instead of deep inside a solver or engine.
+inline Time parse_time(std::string_view field) {
+  const double value = fast_parse_double(field);
+  if (!(std::isfinite(value) && value > 0.0)) {
+    throw IoError("time must be finite and > 0, got '" + std::string(field) +
+                  "'");
+  }
+  return value;
 }
 
 inline ColumnLayout parse_header(std::string_view header_line) {

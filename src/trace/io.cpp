@@ -109,8 +109,7 @@ RequestSequence trace_from_csv(std::string_view text,
           csvdec::split_row(line, layout, canonical);
       const auto server = static_cast<ServerId>(
           csvdec::fast_parse_size(csvdec::strip_quotes(fields.server)));
-      const Time time =
-          csvdec::fast_parse_double(csvdec::strip_quotes(fields.time));
+      const Time time = csvdec::parse_time(csvdec::strip_quotes(fields.time));
       server_count = std::max<std::size_t>(server_count, server + 1);
       builder.begin_request(server, time);
       csvdec::parse_item_list(fields.items, [&](ItemId item) {
@@ -260,7 +259,7 @@ bool CsvStreamReader::next(CsvStreamRow& row) {
           csvdec::split_row(line, layout, canonical_);
       row.server = static_cast<ServerId>(
           csvdec::fast_parse_size(csvdec::strip_quotes(fields.server)));
-      row.time = csvdec::fast_parse_double(csvdec::strip_quotes(fields.time));
+      row.time = csvdec::parse_time(csvdec::strip_quotes(fields.time));
       row.items.clear();
       csvdec::parse_item_list(
           fields.items, [&](ItemId item) { row.items.push_back(item); });

@@ -70,14 +70,16 @@ struct CsvStreamRow {
   std::vector<ItemId> items;  // sorted, duplicate-free
 };
 
-/// Bounded-memory, line-at-a-time CSV trace reader for unbounded inputs —
-/// what `dpgreedy serve` uses to feed the StreamingEngine from a pipe.
-/// Same dialect as trace_from_csv (any column order, CRLF, blank lines,
-/// plain quotes); holds only the current line and row, so memory is O(max
-/// row length) regardless of stream length.  Sequence-level invariants
-/// (strictly increasing times, non-empty item sets) are the *consumer's*
-/// contract: the reader reports rows as written and the engine's push
-/// validates ordering.
+/// Bounded-memory, line-at-a-time CSV trace reader for unbounded inputs:
+/// one row per next() call, for a caller that pushes rows into a
+/// StreamingEngine one by one.  (`dpgreedy serve` reads through
+/// CsvClaimSource in trace/shard_source.hpp instead.)  Same dialect and
+/// per-row validation as trace_from_csv (any column order, CRLF, blank
+/// lines, plain quotes; times finite and > 0); holds only the current line
+/// and row, so memory is O(max row length) regardless of stream length.
+/// Sequence-level invariants (strictly increasing times, non-empty item
+/// sets) are the *consumer's* contract: the reader reports rows as written
+/// and the engine's push validates ordering.
 class CsvStreamReader {
  public:
   /// The header row is consumed lazily on the first next() call.

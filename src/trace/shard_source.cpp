@@ -1,6 +1,7 @@
 #include "trace/shard_source.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <utility>
 #include <vector>
 
@@ -12,14 +13,33 @@ namespace dpg {
 namespace {
 
 // Same parse counters as the other CSV readers, so `trace.*` metrics cover
-// the sharded ingest path too.
+// the serve ingest path too.
 const obs::Counter g_rows_parsed = obs::counter("trace.rows_parsed");
 const obs::Counter g_bytes_parsed = obs::counter("trace.bytes_parsed");
 
-// One IO chunk (same sizing rationale as block_reader.cpp).
+// One IO chunk: big enough to amortize istream::read, small enough to stay
+// cache-friendly.  A trickling pipe is therefore served per chunk or at EOF.
 constexpr std::size_t kReadChunkBytes = 1u << 20;
 
+/// Shortest round-trip text of a time ("2", "0.125", "inf").
+std::string time_text(Time time) {
+  char buffer[32];
+  const auto end = std::to_chars(buffer, buffer + sizeof buffer, time).ptr;
+  return std::string(buffer, end);
+}
+
+/// Rows from `start` to the next multiple of `every` (0 = never).
+std::size_t rows_to_cut(std::size_t start, std::size_t every) noexcept {
+  return every == 0 ? static_cast<std::size_t>(-1) : every - start % every;
+}
+
 }  // namespace
+
+std::string backwards_time_message(Time time, Time previous) {
+  return "time " + time_text(time) + " is not after the previous request's " +
+         "time " + time_text(previous) +
+         " (request times must be strictly increasing)";
+}
 
 // ---------------------------------------------------------------------------
 // ShardClaimSource
@@ -41,6 +61,17 @@ void ShardClaimSource::report_error(std::uint64_t seq, std::string message) {
   }
 }
 
+std::string ShardClaimSource::row_label(std::size_t row) const {
+  const std::string row_text = "row " + std::to_string(row);
+  return label_.empty() ? row_text : label_ + ": " + row_text;
+}
+
+std::size_t ShardClaimSource::block_rows(std::size_t start,
+                                         std::size_t batch_rows) const noexcept {
+  return std::min({batch_rows, rows_to_cut(start, snapshot_every_),
+                   rows_to_cut(start, stats_every_)});
+}
+
 // ---------------------------------------------------------------------------
 // SequenceClaimSource
 
@@ -55,19 +86,25 @@ SequenceClaimSource::SequenceClaimSource(const RequestSequence& sequence,
 
 bool SequenceClaimSource::claim(RequestBlock& block, std::uint64_t& seq,
                                 std::size_t& rows_through) {
-  const std::uint64_t i =
-      next_block_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t start = static_cast<std::size_t>(i) * batch_rows_;
-  if (start >= end_) {
-    block.clear();
-    return false;
+  std::size_t start = 0;
+  std::size_t n = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    start = next_row_;
+    if (start >= end_ || error_seq() != kNoError) {
+      block.clear();
+      return false;
+    }
+    n = std::min(block_rows(start, batch_rows_), end_ - start);
+    next_row_ = start + n;
+    seq = next_seq_++;
   }
-  const std::size_t n = std::min(batch_rows_, end_ - start);
+  // Offsets stay absolute into the full items pool; the block indexes the
+  // pool base directly, so the slice is pure pointer arithmetic.
   const SequenceColumns columns = sequence_.columns();
   block.adopt(columns.servers.subspan(start, n),
               columns.times.subspan(start, n),
               columns.item_offsets.subspan(start, n + 1), columns.items_pool);
-  seq = i;
   rows_through = start + n;
   return true;
 }
@@ -77,7 +114,7 @@ bool SequenceClaimSource::claim(RequestBlock& block, std::uint64_t& seq,
 
 CsvClaimSource::CsvClaimSource(std::istream& in, std::string source,
                                std::size_t batch_rows, std::size_t limit)
-    : in_(in), source_(std::move(source)), batch_rows_(batch_rows),
+    : ShardClaimSource(std::move(source)), in_(in), batch_rows_(batch_rows),
       limit_(limit) {
   require(batch_rows_ > 0, "CsvClaimSource: batch_rows must be >= 1");
   buffer_.reserve(kReadChunkBytes + 4096);
@@ -116,7 +153,7 @@ bool CsvClaimSource::next_line(std::string_view& line, std::size_t* offset) {
     buffer_.resize(old_size + got);
     if (got == 0) {
       if (in_.bad()) {
-        throw IoError(source_ + ": read error at byte offset " +
+        throw IoError(label() + ": read error at byte offset " +
                       std::to_string(base_offset_ + buffer_.size()));
       }
       eof_ = true;
@@ -129,9 +166,13 @@ void CsvClaimSource::parse_header_line() {
   std::string_view header;
   std::size_t offset = 0;
   if (!next_line(header, &offset)) {
-    throw IoError(source_ + ": empty input (no CSV header)");
+    throw IoError(label() + ": empty input (no CSV header)");
   }
-  layout_ = csvdec::parse_header(header);
+  try {
+    layout_ = csvdec::parse_header(header);
+  } catch (const Error& e) {
+    throw IoError(label() + ": " + e.what());
+  }
   canonical_ = layout_.canonical();
 }
 
@@ -151,23 +192,29 @@ bool CsvClaimSource::claim(RequestBlock& block, std::uint64_t& seq,
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (error_seq() != kNoError) return false;
-    if (!header_parsed_) parse_header_line();
-
-    start_row = rows_grabbed_.load(std::memory_order_relaxed);
-    while (lines.size() < batch_rows_ &&
-           (limit_ == 0 || start_row + lines.size() < limit_)) {
-      std::string_view line;
-      std::size_t offset = 0;
-      if (!next_line(line, &offset)) break;
-      if (line.empty()) continue;
-      lines.push_back(LineRef{text.size(), line.size(), offset});
-      text.append(line);
+    try {
+      if (!header_parsed_) parse_header_line();
+      start_row = rows_grabbed_.load(std::memory_order_relaxed);
+      std::size_t want = block_rows(start_row, batch_rows_);
+      if (limit_ > 0) want = std::min(want, limit_ - start_row);
+      while (lines.size() < want) {
+        std::string_view line;
+        std::size_t offset = 0;
+        if (!next_line(line, &offset)) break;
+        if (line.empty()) continue;
+        lines.push_back(LineRef{text.size(), line.size(), offset});
+        text.append(line);
+      }
+    } catch (const Error& e) {
+      // A missing header or an unreadable stream fails the feed at the
+      // next seq: every block claimed before it is still served.
+      report_error(next_seq_, e.what());
+      return false;
     }
     if (lines.empty()) return false;  // end of stream / limit reached
     seq = next_seq_++;
     rows_grabbed_.store(start_row + lines.size(), std::memory_order_relaxed);
   }
-  rows_through = start_row + lines.size();
 
   // Decode outside the lock — this is the part that runs N shards wide.
   std::size_t bytes = 0;
@@ -178,10 +225,14 @@ bool CsvClaimSource::claim(RequestBlock& block, std::uint64_t& seq,
     try {
       const csvdec::RowFields fields =
           csvdec::split_row(line, layout_, canonical_);
-      block.begin_row(
-          static_cast<ServerId>(
-              csvdec::fast_parse_size(csvdec::strip_quotes(fields.server))),
-          csvdec::fast_parse_double(csvdec::strip_quotes(fields.time)));
+      const auto server = static_cast<ServerId>(
+          csvdec::fast_parse_size(csvdec::strip_quotes(fields.server)));
+      const Time time = csvdec::parse_time(csvdec::strip_quotes(fields.time));
+      if (!block.empty() && !(time > block.time_of(block.size() - 1))) {
+        throw IoError(
+            backwards_time_message(time, block.time_of(block.size() - 1)));
+      }
+      block.begin_row(server, time);
       csvdec::parse_item_list(fields.items,
                               [&](ItemId item) { block.push_item(item); });
       block.end_row();  // sorts + deduplicates — push_batch relies on it
@@ -190,13 +241,13 @@ bool CsvClaimSource::claim(RequestBlock& block, std::uint64_t& seq,
       // the seq numbering has no gap.  The runtime suppresses seqs after
       // this one on the partition side.
       block.abort_row();
-      report_error(seq, source_ + ": row " + std::to_string(start_row + r + 1) +
-                            " (byte offset " + std::to_string(ref.offset) +
-                            "): " + e.what());
+      report_error(seq, row_label(start_row + r + 1) + " (byte offset " +
+                            std::to_string(ref.offset) + "): " + e.what());
       break;
     }
     bytes += ref.length + 1;
   }
+  rows_through = start_row + block.size();
 
   g_rows_parsed.add(block.size());
   g_bytes_parsed.add(bytes);

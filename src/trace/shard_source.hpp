@@ -1,32 +1,46 @@
-// Claim-based trace sources for the sharded serve path: N decode shards
-// pull blocks concurrently from one stream, each claim returning the block
-// plus its global sequence number, so the partition side can restore
-// canonical trace order no matter which shard decoded what.
+// Claim-based trace sources — the one family of feed readers behind
+// `dpgreedy serve`.  Any number of decode shards pull blocks concurrently
+// from one stream, each claim returning the block plus its global sequence
+// number, so the partition side can restore canonical trace order no matter
+// which shard decoded what.  At 1×1 the same claims run inline on the
+// serving thread (engine/sharded_serve.hpp).
 //
 //   * SequenceClaimSource — contiguous-range claims over a materialized
-//     RequestSequence (the `.dpt` mmap path): shard claims are one atomic
-//     fetch-add, block `i` is rows [i·batch, (i+1)·batch), and every block
-//     adopts zero-copy column views exactly like SequenceBlockReader.
+//     RequestSequence (the `.dpt` mmap path): a claim takes the next range
+//     under a briefly-held mutex, and every block adopts zero-copy views of
+//     the sequence's CSR columns.
 //   * CsvClaimSource — round-robin raw-chunk claims on a CSV stream
 //     (including stdin): a shard takes the source mutex just long enough to
-//     slice off the next `batch_rows` raw lines (byte copying only — no
-//     parsing under the lock), then decodes them outside the lock with the
-//     same csvdec fast path as CsvBlockReader.  Decode runs N-wide; the
-//     stream read stays serial because the bytes are.
+//     slice off the next block's raw lines (byte copying only — no parsing
+//     under the lock), then decodes them outside the lock with the csvdec
+//     fast path.  Decode runs N-wide; the stream read stays serial because
+//     the bytes are.  The stream is read in 1 MiB chunks.
 //
 // Sequence numbers are consecutive from 0 in claim order, which for both
 // sources equals trace order: block seq s covers exactly the rows
 // [rows_through(s) − |block|, rows_through(s)) of the stream.
 //
-// Error contract (CSV): a malformed row poisons its block's *suffix* only.
-// The claiming shard keeps the valid prefix (delivered as a normal block so
-// the sequence numbering has no gap), records the smallest failing seq and
-// its full-provenance message (source, row, byte offset) via an atomic-min,
-// and every later claim returns end-of-stream.  The sharded runtime
-// (engine/sharded_serve.hpp) then suppresses blocks *after* the failing seq
-// on the partition side — in-flight claims from other shards may have
-// already decoded them — so the engines ingest exactly the requests before
-// the malformed row, same as the 1×1 paths.
+// Cadence cuts: set_cadence() makes every block end at the next multiple of
+// the snapshot and stats intervals, so a block boundary falls on every
+// cadence point whatever the batch size — which is what lets the runtime
+// snapshot at exact row counts at every (N, M).
+//
+// Validation: a CSV row is rejected at decode when a field is malformed,
+// its time is not finite and > 0 (csvdec::parse_time), or its time is not
+// after the previous row's *in the same block*.  Order across blocks is
+// only visible in seq order, so the runtime checks it on the consumer side
+// and records a violation through report_error() — the same row is
+// rejected at every (N, M).
+//
+// Error contract: a rejected row poisons its block's *suffix* only.  The
+// claiming shard keeps the valid prefix (delivered as a normal block so the
+// sequence numbering has no gap, with rows_through counting only the
+// prefix), records the smallest failing seq and its full-provenance message
+// (source, row, byte offset) via an atomic-min, and every later claim
+// returns end-of-stream.  The runtime then suppresses blocks *after* the
+// failing seq on the partition side — in-flight claims from other shards
+// may have already decoded them — so the engines ingest exactly the
+// requests before the rejected row.
 #pragma once
 
 #include <atomic>
@@ -37,18 +51,23 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "core/request.hpp"
 #include "core/request_block.hpp"
+#include "core/types.hpp"
 #include "trace/csv_decode.hpp"
 
 namespace dpg {
+
+/// Message for a request whose time does not advance past its predecessor's.
+[[nodiscard]] std::string backwards_time_message(Time time, Time previous);
 
 /// Thread-safe block claiming: any number of shard threads call claim()
 /// concurrently; each successful claim owns one block of the stream.
 class ShardClaimSource {
  public:
-  /// error_seq() value when no decode error has been recorded.
+  /// error_seq() value when no error has been recorded.
   static constexpr std::uint64_t kNoError =
       std::numeric_limits<std::uint64_t>::max();
 
@@ -57,14 +76,23 @@ class ShardClaimSource {
   /// Claims the next block of the stream.  On success fills `block`, sets
   /// `seq` (consecutive from 0, claim order == trace order) and
   /// `rows_through` (cumulative data rows over blocks 0..seq) and returns
-  /// true.  Returns false at end of stream, after the row limit, or once a
-  /// decode error has been recorded.  A block delivered with a recorded
-  /// error at its own seq holds the valid prefix before the bad row (and
-  /// may be empty).
+  /// true.  Returns false at end of stream, after the row limit, or once an
+  /// error has been recorded.  A block delivered with a recorded error at
+  /// its own seq holds the valid prefix before the bad row (and may be
+  /// empty); its rows_through counts that prefix only.
   virtual bool claim(RequestBlock& block, std::uint64_t& seq,
                      std::size_t& rows_through) = 0;
 
-  /// Smallest seq whose decode failed (kNoError if none).  Monotone: once
+  /// Ends every later block at the next multiple of `snapshot_every` and of
+  /// `stats_every` (0 = no cut for that interval).  Call before the first
+  /// claim; run_sharded_serve calls it with its ServeConfig cadences.
+  void set_cadence(std::size_t snapshot_every,
+                   std::size_t stats_every) noexcept {
+    snapshot_every_ = snapshot_every;
+    stats_every_ = stats_every;
+  }
+
+  /// Smallest seq whose block failed (kNoError if none).  Monotone: once
   /// set it only decreases, and claims stop issuing new blocks.
   [[nodiscard]] std::uint64_t error_seq() const noexcept {
     return error_seq_.load(std::memory_order_acquire);
@@ -76,12 +104,31 @@ class ShardClaimSource {
     return error_message_;
   }
 
- protected:
-  /// Records a decode failure at `seq`; the smallest seq wins (and keeps
-  /// its message) under concurrent reports.
+  /// Records a failure at `seq`; the smallest seq wins (and keeps its
+  /// message) under concurrent reports.  The decoders call it for bad rows,
+  /// the runtime for order violations across blocks.
   void report_error(std::uint64_t seq, std::string message);
 
+  /// The source name errors carry (file path, "<stdin>", or "").
+  [[nodiscard]] const std::string& label() const noexcept { return label_; }
+
+  /// How errors name 1-based data row `row`: "<source>: row N", or just
+  /// "row N" for an unlabelled source.
+  [[nodiscard]] std::string row_label(std::size_t row) const;
+
+ protected:
+  explicit ShardClaimSource(std::string label = {})
+      : label_(std::move(label)) {}
+
+  /// Rows the block starting at stream row `start` may hold: `batch_rows`,
+  /// capped so the block ends at the next cadence cut.
+  [[nodiscard]] std::size_t block_rows(std::size_t start,
+                                       std::size_t batch_rows) const noexcept;
+
  private:
+  std::string label_;
+  std::size_t snapshot_every_ = 0;
+  std::size_t stats_every_ = 0;
   std::atomic<std::uint64_t> error_seq_{kNoError};
   mutable std::mutex error_mutex_;
   std::string error_message_;
@@ -101,7 +148,9 @@ class SequenceClaimSource final : public ShardClaimSource {
   const RequestSequence& sequence_;
   std::size_t batch_rows_;
   std::size_t end_;
-  std::atomic<std::uint64_t> next_block_{0};
+  std::mutex mutex_;  // guards the two cursors below
+  std::size_t next_row_ = 0;
+  std::uint64_t next_seq_ = 0;
 };
 
 /// Round-robin raw-chunk claims on a CSV stream; decode outside the lock.
@@ -134,7 +183,6 @@ class CsvClaimSource final : public ShardClaimSource {
   void parse_header_line();
 
   std::istream& in_;
-  std::string source_;
   std::size_t batch_rows_;
   std::size_t limit_;
 

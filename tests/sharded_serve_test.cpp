@@ -4,22 +4,25 @@
 //
 // The load-bearing guarantee mirrors the pipeline suite one level up: for a
 // fixed partition count M, the merged report and every barrier snapshot are
-// bit-identical across every shard count, batch size, ring topology and
-// thread schedule — and at M = 1 they are bit-identical to the per-push
-// engine (checked against the same full-precision goldens as
-// streaming_pipeline_test.cpp).  The reference implementation here routes
-// rows serially through M engines with the same hash, so any divergence in
-// the concurrent runtime (ordering, holdback, barriers, merge) is a test
+// bit-identical across every shard count, batch size and thread schedule —
+// and at M = 1 they are bit-identical to the per-push engine (checked
+// against the same full-precision goldens as streaming_pipeline_test.cpp),
+// 1×1 (inline, no threads) included.  The reference implementation here
+// routes rows serially through M engines with the same hash, so any
+// divergence in the runtime (ordering, holdback, barriers, merge) is a test
 // failure, not an FP tolerance.
 //
 // ShardedServe.* runs under TSan in CI alongside the ring suites.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dpgreedy.hpp"
@@ -94,9 +97,9 @@ void expect_snapshots_equal(const StreamingSnapshot& a,
 
 /// The serial reference for the N×M runtime: route every row with the same
 /// hash into M per-push engines in global trace order, snapshot all of them
-/// (partition-index order) at exactly the barrier blocks the sharded
-/// sources emit, then finish + merge.  Matches ShardedServeResult
-/// field-for-field so tests can diff the two directly.
+/// (partition-index order) at every multiple of the snapshot interval, then
+/// finish + merge.  Matches ShardedServeResult field-for-field so tests can
+/// diff the two directly.
 struct ReferenceRun {
   ShardedServeResult result;
   std::vector<StreamingSnapshot> snapshots;
@@ -113,26 +116,18 @@ ReferenceRun reference_partitioned_run(const RequestSequence& trace,
   }
 
   ReferenceRun run;
-  const std::size_t n = trace.size();
-  for (std::size_t start = 0; start < n; start += config.batch_rows) {
-    const std::size_t size = std::min(config.batch_rows, n - start);
-    for (std::size_t r = start; r < start + size; ++r) {
-      const std::size_t j =
-          serve_partition_of(trace.server_of(r), trace.items_of(r),
-                             config.flow_route, partitions);
-      engines[j]->push(trace.server_of(r), trace.time_of(r),
-                       trace.items_of(r));
-    }
-    const std::size_t through = start + size;
-    const std::size_t interval = config.snapshot_interval;
-    if (interval > 0 &&
-        (through / interval) > ((through - size) / interval)) {
+  const std::size_t interval = config.snapshot_interval;
+  for (std::size_t r = 0; r < trace.size(); ++r) {
+    const std::size_t j = serve_partition_of(
+        trace.server_of(r), trace.items_of(r), config.flow_route, partitions);
+    engines[j]->push(trace.server_of(r), trace.time_of(r), trace.items_of(r));
+    if (interval > 0 && (r + 1) % interval == 0) {
       std::vector<StreamingSnapshot> parts;
-      for (std::size_t j = 0; j < partitions; ++j) {
-        parts.push_back(engines[j]->snapshot());
+      for (std::size_t k = 0; k < partitions; ++k) {
+        parts.push_back(engines[k]->snapshot());
       }
       run.snapshots.push_back(merge_partition_snapshots(parts));
-      run.snapshot_rows.push_back(through);
+      run.snapshot_rows.push_back(r + 1);
     }
   }
 
@@ -163,27 +158,23 @@ TEST(ServeConfig, DefaultsValidateAndFluentSettersChain) {
       .shards(3)
       .partitions(2)
       .route(ServeRoute::kByItemSet)
-      .topology(ServeTopology::kMpmc)
       .snapshot_every(5000)
       .stats_every(100)
       .probe_chunk(256)
       .max_requests(9999)
       .listen("127.0.0.1:9100")
-      .prom_out("metrics.prom")
-      .pipeline(true);
+      .prom_out("metrics.prom");
   EXPECT_EQ(config.batch_rows, 512u);
   EXPECT_EQ(config.ring_capacity, 4u);
   EXPECT_EQ(config.shard_count, 3u);
   EXPECT_EQ(config.partition_count, 2u);
   EXPECT_EQ(config.flow_route, ServeRoute::kByItemSet);
-  EXPECT_EQ(config.ring_topology, ServeTopology::kMpmc);
   EXPECT_EQ(config.snapshot_interval, 5000u);
   EXPECT_EQ(config.stats_interval, 100u);
   EXPECT_EQ(config.probe_chunk_rows, 256u);
   EXPECT_EQ(config.max_request_rows, 9999u);
   EXPECT_EQ(config.listen_address, "127.0.0.1:9100");
   EXPECT_EQ(config.prom_path, "metrics.prom");
-  EXPECT_TRUE(config.pipelined);
   EXPECT_NO_THROW(config.validate());
 }
 
@@ -194,27 +185,23 @@ TEST(ServeConfig, WithParsesEveryField) {
       .with("shards", "4")
       .with("partitions", "8")
       .with("route", "itemset")
-      .with("topology", "mpmc")
       .with("snapshot_every", "12345")
       .with("stats_every", "77")
       .with("probe_chunk", "500")
       .with("max_requests", "1000000")
       .with("listen", "0.0.0.0:9100")
-      .with("prom_out", "/tmp/serve.prom")
-      .with("pipeline", "on");
+      .with("prom_out", "/tmp/serve.prom");
   EXPECT_EQ(config.batch_rows, 2048u);
   EXPECT_EQ(config.ring_capacity, 16u);
   EXPECT_EQ(config.shard_count, 4u);
   EXPECT_EQ(config.partition_count, 8u);
   EXPECT_EQ(config.flow_route, ServeRoute::kByItemSet);
-  EXPECT_EQ(config.ring_topology, ServeTopology::kMpmc);
   EXPECT_EQ(config.snapshot_interval, 12345u);
   EXPECT_EQ(config.stats_interval, 77u);
   EXPECT_EQ(config.probe_chunk_rows, 500u);
   EXPECT_EQ(config.max_request_rows, 1000000u);
   EXPECT_EQ(config.listen_address, "0.0.0.0:9100");
   EXPECT_EQ(config.prom_path, "/tmp/serve.prom");
-  EXPECT_TRUE(config.pipelined);
 
   // The archive field composes with the 1×1 restriction.
   ServeConfig archive;
@@ -234,9 +221,7 @@ TEST(ServeConfig, WithThrowsNamingTheOffense) {
         << "should list valid fields: " << what;
   }
   EXPECT_THROW(config.with("route", "round_robin"), InvalidArgument);
-  EXPECT_THROW(config.with("topology", "spsc"), InvalidArgument);
   EXPECT_THROW(config.with("batch", "not_a_number"), InvalidArgument);
-  EXPECT_THROW(config.with("pipeline", "maybe"), InvalidArgument);
   // Eager range validation at the .with call site.
   EXPECT_THROW(config.with("shards", "0"), InvalidArgument);
   EXPECT_THROW(config.with("partitions", "65"), InvalidArgument);
@@ -277,11 +262,11 @@ TEST(ServeConfig, RouteAndTopologyNamesRoundTrip) {
             ServeRoute::kByServer);
   EXPECT_EQ(parse_serve_route(serve_route_name(ServeRoute::kByItemSet)),
             ServeRoute::kByItemSet);
-  EXPECT_EQ(
-      parse_serve_topology(serve_topology_name(ServeTopology::kCrossbar)),
-      ServeTopology::kCrossbar);
-  EXPECT_EQ(parse_serve_topology(serve_topology_name(ServeTopology::kMpmc)),
-            ServeTopology::kMpmc);
+  // There is one transport and one serve path, so neither a topology nor
+  // a pipeline switch is a field.
+  ServeConfig config;
+  EXPECT_THROW(config.with("topology", "crossbar"), InvalidArgument);
+  EXPECT_THROW(config.with("pipeline", "on"), InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -400,40 +385,36 @@ TEST(ShardedServe, GridMatchesSerialReferenceSnapshotBySnapshot) {
       const ReferenceRun ref =
           reference_partitioned_run(trace, base, options);
       for (const std::size_t shards : {1u, 2u, 4u}) {
-        for (const ServeTopology topology :
-             {ServeTopology::kCrossbar, ServeTopology::kMpmc}) {
-          const std::string label =
-              "N=" + std::to_string(shards) + " M=" +
-              std::to_string(partitions) + " batch=" + std::to_string(batch) +
-              " topo=" + serve_topology_name(topology);
-          ServeConfig config = base;
-          config.shards(shards).topology(topology);
-          SequenceClaimSource source(trace, config.batch_rows);
-          std::vector<StreamingSnapshot> snapshots;
-          std::vector<std::size_t> snapshot_rows;
-          const ShardedServeResult result = run_sharded_serve(
-              source, kModel, config, options,
-              [&](const StreamingSnapshot& snap, std::size_t rows) {
-                snapshots.push_back(snap);
-                snapshot_rows.push_back(rows);
-              });
+        const std::string label =
+            "N=" + std::to_string(shards) + " M=" +
+            std::to_string(partitions) + " batch=" + std::to_string(batch);
+        ServeConfig config = base;
+        config.shards(shards);
+        SequenceClaimSource source(trace, config.batch_rows);
+        std::vector<StreamingSnapshot> snapshots;
+        std::vector<std::size_t> snapshot_rows;
+        const ShardedServeResult result = run_sharded_serve(
+            source, kModel, config, options,
+            [&](const StreamingSnapshot& snap, std::size_t rows) {
+              snapshots.push_back(snap);
+              snapshot_rows.push_back(rows);
+            });
 
-          EXPECT_TRUE(result.feed_error.empty()) << label;
-          EXPECT_EQ(result.stats.requests, trace.size()) << label;
-          expect_reports_equal(result.report, ref.result.report, label);
-          EXPECT_EQ(result.epoch, ref.result.epoch) << label;
-          ASSERT_EQ(result.partition_reports.size(), partitions) << label;
-          for (std::size_t j = 0; j < partitions; ++j) {
-            expect_reports_equal(result.partition_reports[j],
-                                 ref.result.partition_reports[j],
-                                 label + " partition " + std::to_string(j));
-          }
-          ASSERT_EQ(snapshots.size(), ref.snapshots.size()) << label;
-          EXPECT_EQ(snapshot_rows, ref.snapshot_rows) << label;
-          for (std::size_t s = 0; s < snapshots.size(); ++s) {
-            expect_snapshots_equal(snapshots[s], ref.snapshots[s],
-                                   label + " snapshot " + std::to_string(s));
-          }
+        EXPECT_TRUE(result.feed_error.empty()) << label;
+        EXPECT_EQ(result.stats.requests, trace.size()) << label;
+        expect_reports_equal(result.report, ref.result.report, label);
+        EXPECT_EQ(result.epoch, ref.result.epoch) << label;
+        ASSERT_EQ(result.partition_reports.size(), partitions) << label;
+        for (std::size_t j = 0; j < partitions; ++j) {
+          expect_reports_equal(result.partition_reports[j],
+                               ref.result.partition_reports[j],
+                               label + " partition " + std::to_string(j));
+        }
+        ASSERT_EQ(snapshots.size(), ref.snapshots.size()) << label;
+        EXPECT_EQ(snapshot_rows, ref.snapshot_rows) << label;
+        for (std::size_t s = 0; s < snapshots.size(); ++s) {
+          expect_snapshots_equal(snapshots[s], ref.snapshots[s],
+                                 label + " snapshot " + std::to_string(s));
         }
       }
     }
@@ -603,6 +584,242 @@ TEST(ShardedServe, MalformedCsvRowServesTheValidPrefixAndReportsProvenance) {
                 std::string::npos)
           << label << ": " << result.feed_error;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Exact cadence: snapshot and stats barriers on exact multiples
+
+/// One snapshot line's worth of fields, as the CLI prints them — compared
+/// bit-exactly here (the CLI rounds them for display).
+struct SnapshotLine {
+  std::size_t rows = 0;
+  StreamingSnapshot snapshot;
+};
+
+TEST(ShardedServe, SnapshotsAtOneShardOrMoreMatchPerPushEveryCadence) {
+  // The per-push reference snapshots after exactly every `cadence`-th push;
+  // the runtime at M = 1 must produce the same snapshots (values, deltas,
+  // probe state, allocation counter) at every batch size and shard count.
+  const RequestSequence trace = golden_trace();
+  for (const std::size_t probe : {0u, 150u}) {
+    StreamingOptions options;
+    options.online = grid_options(50, 10);
+    options.probe_chunk = probe;
+    for (const std::size_t cadence : {1u, 7u, 200u, 1000u}) {
+      std::vector<SnapshotLine> reference;
+      StreamingEngine engine(kModel, options);
+      for (std::size_t r = 0; r < trace.size(); ++r) {
+        engine.push(trace.server_of(r), trace.time_of(r), trace.items_of(r));
+        if ((r + 1) % cadence == 0) {
+          reference.push_back({r + 1, engine.snapshot()});
+        }
+      }
+      const RunReport reference_final = engine.finish();
+      for (const std::size_t batch : {1u, 64u, 1024u}) {
+        for (const std::size_t shards : {1u, 2u}) {
+          const std::string label =
+              "probe=" + std::to_string(probe) + " cadence=" +
+              std::to_string(cadence) + " batch=" + std::to_string(batch) +
+              " N=" + std::to_string(shards);
+          ServeConfig config;
+          config.batch(batch).shards(shards).snapshot_every(cadence);
+          SequenceClaimSource source(trace, config.batch_rows);
+          std::vector<SnapshotLine> lines;
+          const ShardedServeResult result = run_sharded_serve(
+              source, kModel, config, options,
+              [&](const StreamingSnapshot& s, std::size_t rows) {
+                lines.push_back({rows, s});
+              });
+          expect_reports_equal(result.report, reference_final, label);
+          ASSERT_EQ(lines.size(), reference.size()) << label;
+          for (std::size_t i = 0; i < lines.size(); ++i) {
+            EXPECT_EQ(lines[i].rows, reference[i].rows) << label;
+            expect_snapshots_equal(lines[i].snapshot, reference[i].snapshot,
+                                   label + " @" + std::to_string(i));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ShardedServe, StatsBarriersLandOnExactMultiplesAtEveryShape) {
+  // stats lines fire at every multiple of stats_every — with or without
+  // snapshots, whether the two cadences coincide or not — at 1×1, 2×1 and
+  // 2×2.  At M = 1 the epoch is the per-push engine's at that row.
+  const RequestSequence feed = golden_trace();
+  const std::size_t rows = 600;  // served through --max-requests
+  StreamingOptions options;
+  options.online = grid_options(50, 10);
+
+  struct Cadence {
+    std::size_t snapshot_every;
+    std::size_t stats_every;
+  };
+  for (const Cadence cadence : {Cadence{0, 100}, Cadence{200, 150},
+                                Cadence{200, 200}, Cadence{7, 64}}) {
+    std::vector<std::size_t> epochs_at;  // per-push epoch at each multiple
+    StreamingEngine engine(kModel, options);
+    for (std::size_t r = 0; r < rows; ++r) {
+      engine.push(feed.server_of(r), feed.time_of(r), feed.items_of(r));
+      if ((r + 1) % cadence.stats_every == 0) {
+        epochs_at.push_back(engine.epoch());
+      }
+    }
+    for (const auto& [shards, partitions] :
+         {std::pair<std::size_t, std::size_t>{1, 1}, {2, 1}, {2, 2}}) {
+      const std::string label =
+          "snap=" + std::to_string(cadence.snapshot_every) + " stats=" +
+          std::to_string(cadence.stats_every) + " N=" +
+          std::to_string(shards) + " M=" + std::to_string(partitions);
+      ServeConfig config;
+      config.batch(64).shards(shards).partitions(partitions)
+          .snapshot_every(cadence.snapshot_every)
+          .stats_every(cadence.stats_every);
+      SequenceClaimSource source(feed, config.batch_rows, rows);
+      std::vector<std::size_t> stats_rows;
+      std::vector<std::size_t> stats_epochs;
+      std::vector<std::size_t> snapshot_rows;
+      (void)run_sharded_serve(
+          source, kModel, config, options,
+          [&](const StreamingSnapshot& s, std::size_t at) {
+            snapshot_rows.push_back(at);
+            EXPECT_EQ(s.requests, at) << label;
+          },
+          [&](std::size_t at, std::size_t epoch) {
+            stats_rows.push_back(at);
+            stats_epochs.push_back(epoch);
+          });
+      ASSERT_EQ(stats_rows.size(), rows / cadence.stats_every) << label;
+      for (std::size_t i = 0; i < stats_rows.size(); ++i) {
+        EXPECT_EQ(stats_rows[i], (i + 1) * cadence.stats_every) << label;
+        if (partitions == 1) {
+          EXPECT_EQ(stats_epochs[i], epochs_at[i]) << label;
+        }
+      }
+      const std::size_t snapshots =
+          cadence.snapshot_every == 0 ? 0 : rows / cadence.snapshot_every;
+      ASSERT_EQ(snapshot_rows.size(), snapshots) << label;
+      for (std::size_t i = 0; i < snapshots; ++i) {
+        EXPECT_EQ(snapshot_rows[i], (i + 1) * cadence.snapshot_every) << label;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile times: every (N, M) rejects the same row and serves the prefix
+
+/// A CSV header plus `rows` good rows at times 1..rows.
+std::string good_rows(std::size_t rows) {
+  std::string csv = "server,time,items\n";
+  for (std::size_t i = 0; i < rows; ++i) {
+    csv += std::to_string(i % 5) + "," + std::to_string(i + 1) + ".0," +
+           std::to_string(i % 7) + ";" + std::to_string(7 + i % 3) + "\n";
+  }
+  return csv;
+}
+
+/// good_rows(rows), the hostile `row_text`, then more good rows that must
+/// never be served.
+std::string feed_with(std::size_t rows, const std::string& row_text) {
+  std::string csv = good_rows(rows) + row_text + "\n";
+  for (std::size_t i = 0; i < 50; ++i) {
+    csv += "0," + std::to_string(5000 + i) + ".0,1\n";
+  }
+  return csv;
+}
+
+TEST(ShardedServe, HostileTimesEndTheFeedAtTheSameRowAtEveryShape) {
+  StreamingOptions options;
+  options.online = grid_options(50, 10);
+  // Row 101 is hostile: non-finite, non-positive, or not after row 100's
+  // time (100.0).  Batch 100 puts it first in its block, so the backwards
+  // cases exercise the cross-block check; batch 64 puts it mid-block.
+  const std::string hostile[] = {"1,nan,3",   "1,inf,3",  "1,0,3",
+                                 "1,-1,3",    "1,100.0,3", "1,50.5,3"};
+  // The clean 100-row prefix's report at each M: what every run must keep.
+  std::vector<RunReport> prefix_reports;
+  for (const std::size_t partitions : {1u, 2u}) {
+    std::istringstream in(good_rows(100));
+    CsvClaimSource source(in, "prefix.csv", 64);
+    ServeConfig config;
+    config.partitions(partitions);
+    prefix_reports.push_back(
+        run_sharded_serve(source, kModel, config, options).report);
+  }
+  for (const std::size_t batch : {64u, 100u}) {
+    for (const std::string& row : hostile) {
+      const std::string csv = feed_with(100, row);
+      std::vector<std::string> errors;
+      for (const auto& [shards, partitions] :
+           {std::pair<std::size_t, std::size_t>{1, 1}, {2, 1}, {4, 1},
+            {2, 2}}) {
+        const std::string label = "'" + row + "' batch=" +
+                                  std::to_string(batch) + " N=" +
+                                  std::to_string(shards) + " M=" +
+                                  std::to_string(partitions);
+        std::istringstream in(csv);
+        CsvClaimSource source(in, "hostile.csv", batch);
+        ServeConfig config;
+        config.batch(batch).shards(shards).partitions(partitions);
+        const ShardedServeResult result =
+            run_sharded_serve(source, kModel, config, options);
+        EXPECT_EQ(result.stats.requests, 100u) << label;
+        EXPECT_NE(result.feed_error.find("hostile.csv: row 101"),
+                  std::string::npos)
+            << label << ": " << result.feed_error;
+        errors.push_back(result.feed_error);
+        expect_reports_equal(result.report, prefix_reports[partitions - 1],
+                             label);
+      }
+      // Every shape names the row identically.
+      for (const std::string& error : errors) EXPECT_EQ(error, errors[0]);
+    }
+  }
+}
+
+TEST(ShardedServe, EngineRejectionMidBlockEndsTheFeedAtOnePartition) {
+  // A source that skips decode validation hands the engine a backwards
+  // time mid-block: at M = 1 the runtime keeps the engine's prefix, reports
+  // the global row and still finishes the books.
+  class UncheckedSource final : public ShardClaimSource {
+   public:
+    bool claim(RequestBlock& block, std::uint64_t& seq,
+               std::size_t& rows_through) override {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      block.clear();
+      if (next_ > 1) return false;
+      const std::vector<ItemId> items = {1, 2};
+      for (std::size_t r = 0; r < 10; ++r) {
+        const std::size_t row = next_ * 10 + r + 1;
+        // Row 15 goes back in time.
+        block.append_row(0, row == 15 ? 1.0 : static_cast<Time>(row), items);
+      }
+      seq = next_++;
+      rows_through = 10 * next_;
+      return true;
+    }
+
+   private:
+    std::mutex mutex_;
+    std::uint64_t next_ = 0;
+  };
+  StreamingOptions options;
+  options.online = grid_options(50, 10);
+  for (const std::size_t shards : {1u, 2u}) {
+    UncheckedSource source;
+    ServeConfig config;
+    config.batch(10).shards(shards);
+    const ShardedServeResult result =
+        run_sharded_serve(source, kModel, config, options);
+    EXPECT_EQ(result.stats.requests, 14u) << shards;
+    EXPECT_EQ(result.report.total_item_accesses, 28u) << shards;
+    EXPECT_NE(result.feed_error.find("row 15: "), std::string::npos)
+        << result.feed_error;
+    EXPECT_NE(result.feed_error.find("strictly increasing"), std::string::npos)
+        << result.feed_error;
   }
 }
 

@@ -1,11 +1,11 @@
-// The pipelined ingest path: SpscRing, RequestBlock, the block readers,
-// push_batch, and run_serve_pipeline.
+// The block ingest path: SpscRing, RequestBlock, the claim sources read
+// one at a time (the BlockReader suite), push_batch, and the 1×1 serve run.
 //
 // The load-bearing guarantee is bit-identity: at every batch size, the
 // engine state after push_batch — final report AND every intermediate
 // snapshot, down to the steady-state allocation counter — equals the
-// per-push engine exactly.  The pipeline buys throughput by amortizing
-// overhead, never by changing arithmetic.
+// per-push engine exactly.  Blocks buy throughput by amortizing overhead,
+// never by changing arithmetic.
 //
 // The concurrency suites (SpscRing.*, StreamingPipeline.*) run under TSan
 // in CI alongside StreamingEngine.*.
@@ -16,7 +16,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -165,34 +167,65 @@ TEST(RequestBlock, AdoptViewsSequenceColumnsWithAbsoluteOffsets) {
 }
 
 // ---------------------------------------------------------------------------
-// Block readers
+// Block readers: the claim sources, claimed one block at a time.  A "throw"
+// in these names is a claim recording the error (error_seq/error_message)
+// and ending the stream — the contract the serve runtime builds on.
 
-void expect_blocks_replay_trace(BlockSource& source,
-                                const RequestSequence& trace,
-                                std::size_t expected_rows) {
+/// Drains `source`, checking every row against `trace`; returns the claimed
+/// block count.
+std::size_t expect_claims_replay_trace(ShardClaimSource& source,
+                                       const RequestSequence& trace,
+                                       std::size_t expected_rows) {
   RequestBlock block;
+  std::uint64_t seq = 0;
+  std::size_t rows_through = 0;
   std::size_t row = 0;
-  while (source.next(block)) {
+  std::size_t blocks = 0;
+  while (source.claim(block, seq, rows_through)) {
+    EXPECT_EQ(seq, blocks);
+    ++blocks;
     for (std::size_t i = 0; i < block.size(); ++i, ++row) {
-      ASSERT_LT(row, expected_rows);
+      EXPECT_LT(row, expected_rows);
+      if (row >= expected_rows) return blocks;
       const Request r = trace[row];
-      ASSERT_EQ(block.server_of(i), r.server) << "row " << row;
-      ASSERT_EQ(block.time_of(i), r.time) << "row " << row;
-      ASSERT_TRUE(std::equal(block.items_of(i).begin(),
+      EXPECT_EQ(block.server_of(i), r.server) << "row " << row;
+      EXPECT_EQ(block.time_of(i), r.time) << "row " << row;
+      EXPECT_TRUE(std::equal(block.items_of(i).begin(),
                              block.items_of(i).end(), r.items.begin(),
                              r.items.end()))
           << "row " << row;
     }
+    EXPECT_EQ(rows_through, row);
   }
   EXPECT_EQ(row, expected_rows);
-  EXPECT_TRUE(block.empty());  // next() leaves the block empty at EOF
+  EXPECT_EQ(source.error_seq(), ShardClaimSource::kNoError);
+  return blocks;
+}
+
+/// Claims one block; the test fails if the stream has already ended.
+RequestBlock claim_one(ShardClaimSource& source) {
+  RequestBlock block;
+  std::uint64_t seq = 0;
+  std::size_t rows_through = 0;
+  EXPECT_TRUE(source.claim(block, seq, rows_through));
+  return block;
+}
+
+/// 10 good rows `server,t,0;1` at t = 1..10, then `tail`.
+std::string ten_good_rows_then(const std::string& tail) {
+  std::string csv = "server,time,items\n";
+  for (int i = 0; i < 10; ++i) {
+    csv += std::to_string(i % 3) + "," + std::to_string(i + 1) + ".0,0;1\n";
+  }
+  return csv + tail;
 }
 
 TEST(BlockReader, SequenceReaderReplaysEveryRowAtEveryBatchSize) {
   const RequestSequence trace = golden_trace();
   for (const std::size_t batch : kBatchSizes) {
-    SequenceBlockReader reader(trace, batch);
-    expect_blocks_replay_trace(reader, trace, trace.size());
+    SequenceClaimSource source(trace, batch);
+    EXPECT_EQ(expect_claims_replay_trace(source, trace, trace.size()),
+              (trace.size() + batch - 1) / batch);
   }
 }
 
@@ -201,57 +234,89 @@ TEST(BlockReader, CsvReaderReplaysEveryRowAtEveryBatchSize) {
   const std::string csv = trace_to_csv(trace);
   for (const std::size_t batch : kBatchSizes) {
     std::istringstream in(csv);
-    CsvBlockReader reader(in, "golden.csv", batch);
-    expect_blocks_replay_trace(reader, trace, trace.size());
-    EXPECT_EQ(reader.rows(), trace.size());
+    CsvClaimSource source(in, "golden.csv", batch);
+    EXPECT_EQ(expect_claims_replay_trace(source, trace, trace.size()),
+              (trace.size() + batch - 1) / batch);
+    EXPECT_EQ(source.rows(), trace.size());
   }
 }
 
 TEST(BlockReader, LimitTruncatesTheStream) {
   const RequestSequence trace = golden_trace();
-  SequenceBlockReader seq_reader(trace, 64, /*limit=*/100);
-  expect_blocks_replay_trace(seq_reader, trace, 100);
+  SequenceClaimSource seq_source(trace, 64, /*limit=*/100);
+  expect_claims_replay_trace(seq_source, trace, 100);
 
   const std::string csv = trace_to_csv(trace);
   std::istringstream in(csv);
-  CsvBlockReader csv_reader(in, "golden.csv", 64, /*limit=*/100);
-  expect_blocks_replay_trace(csv_reader, trace, 100);
+  CsvClaimSource csv_source(in, "golden.csv", 64, /*limit=*/100);
+  expect_claims_replay_trace(csv_source, trace, 100);
+}
+
+TEST(BlockReader, CadenceCutsEndBlocksOnEveryMultiple) {
+  // Blocks end at every multiple of either interval, whatever the batch:
+  // with cuts at 200 and 150 and batch 64, every block boundary is a
+  // multiple of 64 past the previous cut, and every cut is a boundary.
+  const RequestSequence trace = golden_trace();
+  const std::string csv = trace_to_csv(trace);
+  std::istringstream in(csv);
+  CsvClaimSource csv_source(in, "golden.csv", 64);
+  SequenceClaimSource seq_source(trace, 64);
+  for (ShardClaimSource* source :
+       {static_cast<ShardClaimSource*>(&csv_source),
+        static_cast<ShardClaimSource*>(&seq_source)}) {
+    source->set_cadence(200, 150);
+    RequestBlock block;
+    std::uint64_t seq = 0;
+    std::size_t rows_through = 0;
+    std::vector<std::size_t> ends;
+    while (source->claim(block, seq, rows_through)) {
+      ASSERT_GE(block.size(), 1u);
+      ASSERT_LE(block.size(), 64u);
+      ends.push_back(rows_through);
+    }
+    ASSERT_FALSE(ends.empty());
+    EXPECT_EQ(ends.back(), trace.size());
+    for (std::size_t cut = 150; cut <= trace.size(); cut += 150) {
+      EXPECT_NE(std::find(ends.begin(), ends.end(), cut), ends.end()) << cut;
+    }
+    for (std::size_t cut = 200; cut <= trace.size(); cut += 200) {
+      EXPECT_NE(std::find(ends.begin(), ends.end(), cut), ends.end()) << cut;
+    }
+    EXPECT_NE(std::find(ends.begin(), ends.end(), 64u), ends.end());
+    EXPECT_NE(std::find(ends.begin(), ends.end(), 264u), ends.end());
+  }
 }
 
 TEST(BlockReader, MalformedRowDeliversValidPrefixThenThrowsWithProvenance) {
-  // 10 good rows, then garbage: the reader must hand over the 10 decoded
-  // rows first, then raise IoError with path + row + byte offset.
-  std::string csv = "server,time,items\n";
-  for (int i = 0; i < 10; ++i) {
-    csv += std::to_string(i % 3) + "," + std::to_string(i + 1) + ".0,0;1\n";
-  }
-  const std::size_t bad_offset = csv.size();
-  csv += "this is not a row\n";
-  csv += "0,99.0,2\n";
-
+  // 10 good rows, then garbage: the claim hands over the 10 decoded rows
+  // and records the error with path + row + byte offset; the stream ends.
+  const std::string good = ten_good_rows_then("");
+  const std::string csv = good + "this is not a row\n0,99.0,2\n";
   std::istringstream in(csv);
-  CsvBlockReader reader(in, "bad.csv", /*batch_rows=*/64);
+  CsvClaimSource source(in, "bad.csv", /*batch_rows=*/64);
   RequestBlock block;
-  ASSERT_TRUE(reader.next(block));
+  std::uint64_t seq = 0;
+  std::size_t rows_through = 0;
+  ASSERT_TRUE(source.claim(block, seq, rows_through));
   EXPECT_EQ(block.size(), 10u);
-  try {
-    reader.next(block);
-    FAIL() << "expected IoError";
-  } catch (const IoError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("bad.csv"), std::string::npos) << what;
-    EXPECT_NE(what.find("row 11"), std::string::npos) << what;
-    EXPECT_NE(what.find("byte offset " + std::to_string(bad_offset)),
-              std::string::npos)
-        << what;
-  }
+  EXPECT_EQ(rows_through, 10u);  // the delivered prefix, not the grab
+  EXPECT_EQ(source.error_seq(), 0u);
+  const std::string what = source.error_message();
+  EXPECT_NE(what.find("bad.csv: row 11"), std::string::npos) << what;
+  EXPECT_NE(what.find("byte offset " + std::to_string(good.size())),
+            std::string::npos)
+      << what;
+  EXPECT_FALSE(source.claim(block, seq, rows_through));
 }
 
 TEST(BlockReader, MalformedFirstRowThrowsImmediately) {
   std::istringstream in("server,time,items\nnot,a\n");
-  CsvBlockReader reader(in, "bad.csv", 64);
-  RequestBlock block;
-  EXPECT_THROW((void)reader.next(block), IoError);
+  CsvClaimSource source(in, "bad.csv", 64);
+  const RequestBlock block = claim_one(source);
+  EXPECT_TRUE(block.empty());
+  EXPECT_EQ(source.error_seq(), 0u);
+  EXPECT_NE(source.error_message().find("bad.csv: row 1"), std::string::npos)
+      << source.error_message();
 }
 
 TEST(BlockReader, MalformedItemListRollsBackTheHalfOpenRow) {
@@ -260,17 +325,9 @@ TEST(BlockReader, MalformedItemListRollsBackTheHalfOpenRow) {
   // contain only the 10 complete rows — no trailing server/time without a
   // closing item offset — or items_of() on the last row reads out of
   // bounds downstream.
-  std::string csv = "server,time,items\n";
-  for (int i = 0; i < 10; ++i) {
-    csv += std::to_string(i % 3) + "," + std::to_string(i + 1) + ".0,0;1\n";
-  }
-  csv += "2,11.0,3;zzz\n";  // begin_row succeeds, parse_item_list throws
-  csv += "0,99.0,2\n";
-
-  std::istringstream in(csv);
-  CsvBlockReader reader(in, "bad.csv", /*batch_rows=*/64);
-  RequestBlock block;
-  ASSERT_TRUE(reader.next(block));
+  std::istringstream in(ten_good_rows_then("2,11.0,3;zzz\n0,99.0,2\n"));
+  CsvClaimSource source(in, "bad.csv", /*batch_rows=*/64);
+  const RequestBlock block = claim_one(source);
   ASSERT_EQ(block.size(), 10u);
   EXPECT_EQ(block.total_items(), 20u);  // the bad row's items are gone too
   for (std::size_t i = 0; i < block.size(); ++i) {
@@ -279,25 +336,37 @@ TEST(BlockReader, MalformedItemListRollsBackTheHalfOpenRow) {
     EXPECT_EQ(block.items_of(i)[0], 0u);
     EXPECT_EQ(block.items_of(i)[1], 1u);
   }
-  try {
-    reader.next(block);
-    FAIL() << "expected IoError";
-  } catch (const IoError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("bad.csv"), std::string::npos) << what;
-    EXPECT_NE(what.find("row 11"), std::string::npos) << what;
-  }
+  EXPECT_NE(source.error_message().find("bad.csv: row 11"), std::string::npos)
+      << source.error_message();
 }
 
 TEST(BlockReader, MalformedItemListOnTheFirstRowOfABlockThrowsCleanly) {
-  // Same failure shape, but as the block's first row: the reader throws
-  // immediately, and the block it hands back is empty, not half-open.
+  // Same failure shape, but as the block's first row: the block handed
+  // back is empty, not half-open.
   std::istringstream in("server,time,items\n1,1.0,0;zzz\n");
-  CsvBlockReader reader(in, "bad.csv", 64);
-  RequestBlock block;
-  EXPECT_THROW((void)reader.next(block), IoError);
+  CsvClaimSource source(in, "bad.csv", 64);
+  const RequestBlock block = claim_one(source);
   EXPECT_TRUE(block.empty());
   EXPECT_EQ(block.total_items(), 0u);
+  EXPECT_EQ(source.error_seq(), 0u);
+}
+
+TEST(BlockReader, HostileTimesAreRejectedAtDecodeWithProvenance) {
+  // Non-finite, non-positive and (inside a block) backwards times are
+  // decode errors: the valid prefix ships, the message names the row.
+  const std::string bad_times[] = {"nan", "inf", "0", "-1", "5.0"};
+  for (const std::string& bad : bad_times) {
+    std::istringstream in(ten_good_rows_then("1," + bad + ",4\n2,20.0,4\n"));
+    CsvClaimSource source(in, "hostile.csv", 64);
+    const RequestBlock block = claim_one(source);
+    EXPECT_EQ(block.size(), 10u) << bad;
+    const std::string what = source.error_message();
+    EXPECT_NE(what.find("hostile.csv: row 11 (byte offset"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(bad == "5.0" ? "strictly increasing" : "finite and > 0"),
+              std::string::npos)
+        << what;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -384,10 +453,12 @@ TEST(StreamingPipeline, PushBatchBitIdenticalAcrossGridAndBatchSizes) {
                                 " repack=" + std::to_string(point.repack) +
                                 " batch=" + std::to_string(batch);
 
-      SequenceBlockReader reader(trace, batch);
+      SequenceClaimSource source(trace, batch);
       RequestBlock block;
+      std::uint64_t seq = 0;
+      std::size_t rows_through = 0;
       std::size_t row = 0;
-      while (reader.next(block)) {
+      while (source.claim(block, seq, rows_through)) {
         batched.push_batch(block);
         for (std::size_t i = 0; i < block.size(); ++i, ++row) {
           const Request r = trace[row];
@@ -425,9 +496,11 @@ TEST(StreamingPipeline, PushBatchInterleavesTheRatioProbeIdentically) {
     StreamingEngine batched(kModel, options);
     StreamingEngine reference(kModel, options);
 
-    SequenceBlockReader reader(trace, batch);
+    SequenceClaimSource source(trace, batch);
     RequestBlock block;
-    while (reader.next(block)) batched.push_batch(block);
+    std::uint64_t seq = 0;
+    std::size_t rows_through = 0;
+    while (source.claim(block, seq, rows_through)) batched.push_batch(block);
     for (const Request& r : trace.requests()) {
       reference.push(r.server, r.time, r.items);
     }
@@ -462,7 +535,8 @@ TEST(StreamingPipeline, AdvanceBatchMatchesPerPointAdvance) {
 }
 
 // ---------------------------------------------------------------------------
-// The threaded pipeline
+// The serve run at 1×1: run_sharded_serve claims and pushes inline, with no
+// threads or rings.
 
 TEST(StreamingPipeline, RunServePipelineMatchesPerPushOverSequence) {
   const RequestSequence trace = golden_trace();
@@ -470,15 +544,15 @@ TEST(StreamingPipeline, RunServePipelineMatchesPerPushOverSequence) {
   options.online = grid_options(50, 10);
   options.item_count_hint = trace.item_count();
 
-  StreamingEngine piped(kModel, options);
-  SequenceBlockReader source(trace, 64);
-  ServeConfig popts;
-  popts.batch(64).ring(4);
-  const ServePipelineStats stats =
-      run_serve_pipeline(source, piped, popts);
-  EXPECT_EQ(stats.requests, trace.size());
-  EXPECT_EQ(stats.batches, (trace.size() + 63) / 64);
-  EXPECT_EQ(piped.finish().total_cost, 23070.892026151188);
+  SequenceClaimSource source(trace, 64);
+  ServeConfig config;
+  config.batch(64).snapshot_every(0);
+  const ShardedServeResult result =
+      run_sharded_serve(source, kModel, config, options);
+  EXPECT_EQ(result.stats.requests, trace.size());
+  EXPECT_EQ(result.stats.batches, (trace.size() + 63) / 64);
+  EXPECT_EQ(result.stats.enqueue_blocked + result.stats.dequeue_blocked, 0u);
+  EXPECT_EQ(result.report.total_cost, 23070.892026151188);
 }
 
 TEST(StreamingPipeline, RunServePipelineMatchesPerPushOverCsv) {
@@ -487,27 +561,22 @@ TEST(StreamingPipeline, RunServePipelineMatchesPerPushOverCsv) {
   StreamingOptions options;
   options.online = grid_options(50, 10);
 
-  StreamingEngine piped(kModel, options);
   std::istringstream in(csv);
-  CsvBlockReader source(in, "golden.csv", 128);
-  ServeConfig popts;
-  popts.batch(128);
+  CsvClaimSource source(in, "golden.csv", 128);
+  ServeConfig config;
+  config.batch(128).snapshot_every(0);
   std::size_t callback_rows = 0;
-  const ServePipelineStats stats = run_serve_pipeline(
-      source, piped, popts,
-      [&](const RequestBlock& block, const StreamingDecision&,
-          std::size_t total) {
-        callback_rows += block.size();
-        EXPECT_EQ(callback_rows, total);
-      });
-  EXPECT_EQ(stats.requests, trace.size());
+  const ShardedServeResult result = run_sharded_serve(
+      source, kModel, config, options, {}, {},
+      [&](const RequestBlock& block) { callback_rows += block.size(); });
+  EXPECT_EQ(result.stats.requests, trace.size());
   EXPECT_EQ(callback_rows, trace.size());
-  EXPECT_EQ(piped.finish().total_cost, 23070.892026151188);
+  EXPECT_EQ(result.report.total_cost, 23070.892026151188);
 }
 
 TEST(StreamingPipeline, DecodeErrorSurfacesAfterTheValidPrefix) {
-  // A malformed row mid-stream: every request before it is ingested, then
-  // the IoError reaches the caller, who can still snapshot/finish.
+  // A malformed row mid-stream: every request before it is ingested and
+  // finished, and the provenance comes back as the feed error.
   std::string csv = "server,time,items\n";
   for (int i = 0; i < 100; ++i) {
     csv += std::to_string(i % 3) + "," + std::to_string(i + 1) + ".0,0;1\n";
@@ -517,33 +586,27 @@ TEST(StreamingPipeline, DecodeErrorSurfacesAfterTheValidPrefix) {
 
   StreamingOptions options;
   options.online = grid_options(8, 4);
-  StreamingEngine engine(kModel, options);
   std::istringstream in(csv);
-  CsvBlockReader source(in, "bad.csv", 32);
-  ServeConfig popts;
-  popts.batch(32);
-  try {
-    run_serve_pipeline(source, engine, popts);
-    FAIL() << "expected IoError";
-  } catch (const IoError& e) {
-    EXPECT_NE(std::string(e.what()).find("bad.csv: row 101"),
-              std::string::npos)
-        << e.what();
-  }
-  EXPECT_EQ(engine.requests_seen(), 100u);
-  EXPECT_GT(engine.finish().total_cost, 0.0);
+  CsvClaimSource source(in, "bad.csv", 32);
+  ServeConfig config;
+  config.batch(32);
+  const ShardedServeResult result =
+      run_sharded_serve(source, kModel, config, options);
+  EXPECT_NE(result.feed_error.find("bad.csv: row 101"), std::string::npos)
+      << result.feed_error;
+  EXPECT_EQ(result.stats.requests, 100u);
+  EXPECT_GT(result.report.total_cost, 0.0);
 }
 
 TEST(StreamingPipeline, ConcurrentBoardReadersAndScrapesUnderLoad) {
-  // The full observer stack under load: the pipeline publishes snapshots to
-  // a ReportBoard at batch granularity while (a) a reader thread copies the
-  // board and (b) HTTP scrapes hit a live ScrapeListener whose /metrics
-  // body reads the same board.  Run under TSan in CI.
+  // The full observer stack under load: serve publishes snapshots to a
+  // ReportBoard at every barrier while (a) a reader thread copies the board
+  // and (b) HTTP scrapes hit a live ScrapeListener whose /metrics body
+  // reads the same board.  Run under TSan in CI.
   const RequestSequence trace = golden_trace();
   StreamingOptions options;
   options.online = grid_options(50, 10);
   options.item_count_hint = trace.item_count();
-  StreamingEngine engine(kModel, options);
 
   ReportBoard board;
   obs::ScrapeListener listener("127.0.0.1", 0, [&board] {
@@ -600,19 +663,26 @@ TEST(StreamingPipeline, ConcurrentBoardReadersAndScrapesUnderLoad) {
     }
   });
 
-  SequenceBlockReader source(trace, 32);
-  ServeConfig popts;
-  popts.batch(32).ring(4);
-  run_serve_pipeline(source, engine, popts,
-                     [&](const RequestBlock&, const StreamingDecision&,
-                         std::size_t) { board.publish(engine.snapshot()); });
+  // Inline (1×1) and threaded (2×1) serving both publish from the serving
+  // side while the observers read.
+  for (const std::size_t shards : {1u, 2u}) {
+    SequenceClaimSource source(trace, 32);
+    ServeConfig config;
+    config.batch(32).ring(4).shards(shards).snapshot_every(32);
+    const ShardedServeResult result = run_sharded_serve(
+        source, kModel, config, options,
+        [&](const StreamingSnapshot& s, std::size_t) { board.publish(s); });
+    EXPECT_EQ(result.report.total_cost, 23070.892026151188) << shards;
+  }
   done.store(true, std::memory_order_release);
   reader.join();
   scraper.join();
   listener.stop();
 
-  EXPECT_EQ(board.read().requests, trace.size());
-  EXPECT_EQ(engine.finish().total_cost, 23070.892026151188);
+  // The trace is not a multiple of 32 rows: the last barrier is the last
+  // multiple.
+  EXPECT_EQ(board.read().requests, trace.size() / 32 * 32);
+  EXPECT_EQ(board.version(), 2 * (trace.size() / 32));
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include "test_support.hpp"
 
 #include <cstdio>
+#include <sstream>
+#include <string>
 
 #include "trace/generators.hpp"
 #include "trace/io.hpp"
@@ -130,6 +132,31 @@ TEST(TraceIo, ParseHintsDoNotChangeTheResult) {
     const RequestSequence parsed = trace_from_csv(csv, 0, 0, hints);
     EXPECT_EQ(parsed.size(), original.size());
     EXPECT_EQ(trace_to_csv(parsed), csv);
+  }
+}
+
+TEST(TraceIo, RejectsNonFiniteAndNonPositiveTimesWithProvenance) {
+  // `inf` and `nan` parse as doubles, so the decoder checks the time rule
+  // itself: every CSV reader rejects them (and 0, -1) at the row, before
+  // any solver or engine sees the value.
+  for (const std::string bad : {"nan", "inf", "0", "-1"}) {
+    const std::string csv =
+        "server,time,items\n0,1.0,1\n1," + bad + ",2\n0,3.0,1\n";
+    try {
+      (void)trace_from_csv(csv, 0, 0, {}, "hostile.csv");
+      FAIL() << "expected IoError for " << bad;
+    } catch (const IoError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("hostile.csv: row 2 (byte offset 26)"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("finite and > 0"), std::string::npos) << what;
+    }
+    std::istringstream in(csv);
+    CsvStreamReader reader(in, "hostile.csv");
+    CsvStreamRow row;
+    ASSERT_TRUE(reader.next(row));
+    EXPECT_THROW((void)reader.next(row), IoError) << bad;
   }
 }
 

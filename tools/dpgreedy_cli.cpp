@@ -10,20 +10,17 @@
 //   dpgreedy compare  --trace trace.csv [--solvers a,b,c] [--format F]
 //   dpgreedy online   --trace trace.csv ...  (online vs offline DP_Greedy)
 //   dpgreedy serve    --trace - [--snapshot-every N] [--probe-chunk N]
-//                     [--stats-every N] [--prom-out FILE] [--pipeline]
-//                     [--batch N] [--ring N] [--listen HOST:PORT]
-//                     [--shards N] [--partitions M] [--route R]
-//                     [--topology T] [--archive FILE]
-//                     (long-lived streaming engine over a request feed;
-//                     --stats-every prints live rate/latency lines,
-//                     --prom-out keeps an atomically-replaced Prometheus
-//                     text-format snapshot file fresh, --pipeline decodes
-//                     on a second thread feeding push_batch over an SPSC
-//                     ring, --listen serves GET /metrics + /healthz from
-//                     the double-buffered snapshot board, --shards N /
-//                     --partitions M run the sharded N×M topology with
-//                     flow-hashed routing (--route server|itemset) over
-//                     SPSC-crossbar or MPMC rings (--topology), and
+//                     [--stats-every N] [--prom-out FILE] [--batch N]
+//                     [--ring N] [--listen HOST:PORT] [--shards N]
+//                     [--partitions M] [--route R] [--archive FILE]
+//                     (long-lived streaming engine over a request feed, run
+//                     by run_sharded_serve: inline at 1×1, N decode shards ×
+//                     M engine partitions with flow-hashed routing (--route
+//                     server|itemset) otherwise; --stats-every prints live
+//                     rate/latency lines, --prom-out keeps an
+//                     atomically-replaced Prometheus text-format snapshot
+//                     file fresh, --listen serves GET /metrics + /healthz
+//                     from the double-buffered snapshot board, and
 //                     --archive keeps a byte-exact `.dpt` copy of the feed.
 //                     Every flag parses into the one ServeConfig.)
 //
@@ -34,7 +31,7 @@
 // every subcommand picks the reader/writer from the file extension, and
 // `convert` translates between the two losslessly.  A trace path of `-`
 // reads CSV from stdin (stats/solve/compare/online materialize it; serve
-// streams it line by line in bounded memory).
+// streams it in 1 MiB chunks, in bounded memory).
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
@@ -43,6 +40,7 @@
 #include <iostream>
 #include <memory>
 #include <new>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -505,7 +503,7 @@ int cmd_serve(int argc, const char* const* argv) {
       args.add_size("max-requests", "stop after N requests (0 = all input)", 0);
   const std::size_t* stats_every = args.add_size(
       "stats-every",
-      "emit a live stats line (rate, push p50/p99) every N requests "
+      "emit a live stats line (rate, batch p50/p99) every N requests "
       "(0 = off; enables telemetry)",
       0);
   const std::string* prom_out = args.add_string(
@@ -513,15 +511,10 @@ int cmd_serve(int argc, const char* const* argv) {
       "write a Prometheus text-format snapshot here on every stats/snapshot "
       "cadence and at exit (atomic rename; enables telemetry)",
       "");
-  const bool* pipeline = args.add_flag(
-      "pipeline",
-      "decode on a second thread feeding push_batch over a bounded SPSC "
-      "ring (bit-identical results; see docs/streaming.md)");
   const std::size_t* batch = args.add_size(
-      "batch", "pipeline/sharded: requests per block (the push_batch unit)",
-      1024);
+      "batch", "requests per block (the push_batch unit)", 1024);
   const std::size_t* ring = args.add_size(
-      "ring", "pipeline/sharded: work-ring capacity in blocks", 8);
+      "ring", "sharded: work-ring capacity in blocks", 8);
   const std::size_t* shards = args.add_size(
       "shards",
       "decode shards N (with --partitions, >1 runs the sharded N x M "
@@ -532,8 +525,6 @@ int cmd_serve(int argc, const char* const* argv) {
       1);
   const std::string* route = args.add_string(
       "route", "sharded flow routing: server | itemset", "server");
-  const std::string* topology = args.add_string(
-      "topology", "sharded ring topology: crossbar | mpmc", "crossbar");
   const std::string* archive = args.add_string(
       "archive",
       "archive the feed to this .dpt file while serving (1x1 only; the "
@@ -555,17 +546,14 @@ int cmd_serve(int argc, const char* const* argv) {
       .shards(*shards)
       .partitions(*partitions)
       .route(parse_serve_route(*route))
-      .topology(parse_serve_topology(*topology))
       .snapshot_every(*snapshot_every)
       .stats_every(*stats_every)
       .probe_chunk(*probe_chunk)
       .max_requests(*max_requests)
       .listen(*listen)
       .prom_out(*prom_out)
-      .archive(*archive)
-      .pipeline(*pipeline);
+      .archive(*archive);
   config.validate();
-  const bool sharded = config.shard_count > 1 || config.partition_count > 1;
 
   begin_telemetry(flags);
   // Live exposition needs the counters recording even without
@@ -582,11 +570,10 @@ int cmd_serve(int argc, const char* const* argv) {
   options.online.repack_interval = *flags.repack;
   options.online.hold_factor = *flags.hold;
   options.probe_chunk = config.probe_chunk_rows;
-  StreamingEngine engine(model, options);  // unused when sharded
 
-  // Published snapshots live on a double-buffered board: the serve thread
+  // Published snapshots live on a double-buffered board: the serving side
   // publishes at snapshot cadence, and observers (the /metrics listener)
-  // copy the board without ever touching the engine mutex.
+  // copy the board without ever touching an engine mutex.
   ReportBoard board;
   std::unique_ptr<obs::ScrapeListener> listener;
   if (!config.listen_address.empty()) {
@@ -636,220 +623,120 @@ int cmd_serve(int argc, const char* const* argv) {
     }
   };
 
-  // One printer for every topology: the 1×1 paths hand it engine.snapshot(),
-  // the sharded path hands it the merged cross-partition snapshot.
-  const auto print_snapshot = [&write_prom, &board](StreamingSnapshot s) {
-    std::printf(
-        "snapshot requests=%zu epoch=%zu packages=%zu items=%zu total=%s "
-        "ave=%s delta=%s ratio=%s allocs=%llu\n",
-        s.requests, s.epoch, s.live_packages, s.item_count,
-        format_fixed(s.report.total_cost, 2).c_str(),
-        format_fixed(s.report.ave_cost, 4).c_str(),
-        format_fixed(s.delta.total_cost, 2).c_str(),
-        format_fixed(s.cost_ratio, 3).c_str(),
-        static_cast<unsigned long long>(s.state_alloc_events));
-    std::fflush(stdout);
-    write_prom();
-    board.publish(std::move(s));
-  };
-  const auto emit_snapshot = [&engine, &print_snapshot] {
-    print_snapshot(engine.snapshot());
-  };
+  // Barrier snapshots arrive merged across partitions, in stream order.
+  const ShardedSnapshotCallback on_snapshot =
+      [&write_prom, &board](const StreamingSnapshot& s, std::size_t) {
+        std::printf(
+            "snapshot requests=%zu epoch=%zu packages=%zu items=%zu total=%s "
+            "ave=%s delta=%s ratio=%s allocs=%llu\n",
+            s.requests, s.epoch, s.live_packages, s.item_count,
+            format_fixed(s.report.total_cost, 2).c_str(),
+            format_fixed(s.report.ave_cost, 4).c_str(),
+            format_fixed(s.delta.total_cost, 2).c_str(),
+            format_fixed(s.cost_ratio, 3).c_str(),
+            static_cast<unsigned long long>(s.state_alloc_events));
+        std::fflush(stdout);
+        write_prom();
+        board.publish(s);
+      };
 
-  // The live stats line: ingest rate since start plus the push-latency
-  // distribution from the stream.push_ns histogram.  A distinct `stats `
+  // The live stats line: ingest rate since start plus the block-latency
+  // distribution from the stream.batch_ns histogram.  A distinct `stats `
   // prefix, so consumers of `snapshot `/`final ` lines are unaffected.
   const Stopwatch serve_watch;
-  std::size_t pushed = 0;
-  // Batched ingest (pipeline or sharded) amortizes clock reads to one pair
-  // per block, so the latency histogram is per-block there.
-  const bool batched = config.pipelined || sharded;
-  const auto emit_stats = [&](std::size_t epoch) {
-    const char* hist_name = batched ? "stream.batch_ns" : "stream.push_ns";
-    const char* kind = batched ? "batch" : "push";
+  const ShardedStatsCallback on_stats = [&](std::size_t rows,
+                                            std::size_t epoch) {
     const obs::MetricsSnapshot m = obs::snapshot_metrics();
     const obs::HistogramData* latency = nullptr;
     for (const auto& [name, data] : m.histograms) {
-      if (name == hist_name) latency = &data;
+      if (name == "stream.batch_ns") latency = &data;
     }
     const obs::HistogramData empty;
     if (latency == nullptr) latency = &empty;
     const double elapsed = serve_watch.elapsed_seconds();
     std::printf(
         "stats requests=%zu elapsed_s=%s rate_rps=%.0f epoch=%zu "
-        "%s_p50_ns=%llu %s_p99_ns=%llu\n",
-        pushed, format_fixed(elapsed, 3).c_str(),
-        elapsed > 0.0 ? static_cast<double>(pushed) / elapsed : 0.0, epoch,
-        kind,
+        "batch_p50_ns=%llu batch_p99_ns=%llu\n",
+        rows, format_fixed(elapsed, 3).c_str(),
+        elapsed > 0.0 ? static_cast<double>(rows) / elapsed : 0.0, epoch,
         static_cast<unsigned long long>(
             obs::histogram_quantile_upper(*latency, 0.50)),
-        kind,
         static_cast<unsigned long long>(
             obs::histogram_quantile_upper(*latency, 0.99)));
     std::fflush(stdout);
     write_prom();
   };
 
-  // `serve --archive FILE` keeps a byte-exact `.dpt` copy of the feed
-  // (config.validate() already pinned this to the 1×1 topologies, where
-  // arrival order is the archive order).
+  // `serve --archive FILE` keeps a byte-exact `.dpt` copy of the served
+  // rows (config.validate() pins it to 1×1, where arrival order is the
+  // archive order).
   std::unique_ptr<DptStreamWriter> archive_writer;
+  ServedBlockCallback on_block;
   if (!config.archive_path.empty()) {
     archive_writer = std::make_unique<DptStreamWriter>(config.archive_path);
+    on_block = [&archive_writer](const RequestBlock& block) {
+      archive_writer->append_block(block);
+    };
   }
 
-  // Pump the feed into the engine; snapshots and stats on their cadences.
-  const auto push_one = [&](ServerId server, Time time,
-                            std::span<const ItemId> items) {
-    engine.push(server, time, items);
-    if (archive_writer) archive_writer->append(server, time, items);
-    ++pushed;
-    if (config.snapshot_interval > 0 && pushed % config.snapshot_interval == 0)
-      emit_snapshot();
-    if (config.stats_interval > 0 && pushed % config.stats_interval == 0)
-      emit_stats(engine.epoch());
-    return config.max_request_rows == 0 || pushed < config.max_request_rows;
-  };
-
-  // A malformed trace mid-stream must not vaporize what was already
-  // ingested: report the error (path + row/byte offset) on one line, then
-  // fall through to finish() so the final snapshot covers every request
-  // pushed before the bad row, and exit nonzero.
-  bool feed_failed = false;
-  RunReport report;
-  double final_ratio = 0.0;
-  std::size_t final_chunks = 0;
+  // A rejected row mid-stream must not vaporize what was already ingested:
+  // the runtime serves exactly the rows before it and hands the error back
+  // (path + row/byte offset), which is reported on one line before the
+  // final line, with a nonzero exit.
+  ShardedServeResult result;
+  std::string feed_error;
   try {
-    if (sharded) {
-      // N decode shards × M engine partitions.  Merged barrier snapshots
-      // arrive through the callback already in stream order; decode errors
-      // come back as feed_error with the valid prefix served.
-      const ShardedSnapshotCallback on_merged =
-          [&](const StreamingSnapshot& s, std::size_t rows) {
-            pushed = rows;
-            print_snapshot(s);
-            if (config.stats_interval > 0) emit_stats(s.epoch);
-          };
-      ShardedServeResult result;
-      if (is_dpt_path(*flags.trace)) {
-        // Binary traces mmap in zero-copy; claimed blocks view the columns.
-        const RequestSequence trace = read_trace_auto(*flags.trace);
-        SequenceClaimSource source(trace, config.batch_rows,
-                                   config.max_request_rows);
-        result = run_sharded_serve(source, model, config, options, on_merged);
-      } else {
-        std::ifstream file;
-        const bool from_stdin = *flags.trace == "-";
-        if (!from_stdin) {
-          file.open(*flags.trace, std::ios::binary);
-          if (!file) throw IoError("cannot open trace file: " + *flags.trace);
-        }
-        CsvClaimSource source(from_stdin ? std::cin : file,
-                              from_stdin ? "<stdin>" : *flags.trace,
-                              config.batch_rows, config.max_request_rows);
-        result = run_sharded_serve(source, model, config, options, on_merged);
-      }
-      if (!result.feed_error.empty()) {
-        std::fprintf(stderr, "dpgreedy serve: %s\n",
-                     result.feed_error.c_str());
-        feed_failed = true;
-      }
-      pushed = result.stats.requests;
-      report = result.report;
-      final_ratio = result.cost_ratio;
-      final_chunks = result.probe_chunks;
-    } else if (config.pipelined) {
-      // Two-stage pipeline: a decode thread fills blocks and hands them
-      // over an SPSC ring; this thread consumes them via push_batch.
-      // Snapshot/stats cadences fire at the first batch boundary at or
-      // past each cadence point.
-      std::size_t next_snapshot = config.snapshot_interval;
-      std::size_t next_stats = config.stats_interval;
-      const ServeBatchCallback on_batch =
-          [&](const RequestBlock& block, const StreamingDecision&,
-              std::size_t total) {
-            if (archive_writer) archive_writer->append_block(block);
-            pushed = total;
-            if (config.snapshot_interval > 0 && total >= next_snapshot) {
-              emit_snapshot();
-              while (next_snapshot <= total)
-                next_snapshot += config.snapshot_interval;
-            }
-            if (config.stats_interval > 0 && total >= next_stats) {
-              emit_stats(engine.epoch());
-              while (next_stats <= total) next_stats += config.stats_interval;
-            }
-          };
-      if (is_dpt_path(*flags.trace)) {
-        // Binary traces mmap in zero-copy; blocks view the mapped columns.
-        const RequestSequence trace = read_trace_auto(*flags.trace);
-        SequenceBlockReader source(trace, config.batch_rows,
-                                   config.max_request_rows);
-        run_serve_pipeline(source, engine, config, on_batch);
-      } else {
-        std::ifstream file;
-        const bool from_stdin = *flags.trace == "-";
-        if (!from_stdin) {
-          file.open(*flags.trace, std::ios::binary);
-          if (!file) throw IoError("cannot open trace file: " + *flags.trace);
-        }
-        CsvBlockReader source(from_stdin ? std::cin : file,
-                              from_stdin ? "<stdin>" : *flags.trace,
-                              config.batch_rows, config.max_request_rows);
-        run_serve_pipeline(source, engine, config, on_batch);
-      }
-    } else if (is_dpt_path(*flags.trace)) {
-      // Binary traces mmap in zero-copy; iterate the mapped columns.
-      const RequestSequence trace = read_trace_auto(*flags.trace);
-      for (const Request& r : trace.requests()) {
-        if (!push_one(r.server, r.time, r.items)) break;
-      }
+    std::ifstream file;
+    // `.dpt` only: claimed blocks view the mapped columns zero-copy.
+    std::optional<RequestSequence> trace;
+    std::unique_ptr<ShardClaimSource> source;
+    if (is_dpt_path(*flags.trace)) {
+      trace.emplace(read_trace_auto(*flags.trace));
+      source = std::make_unique<SequenceClaimSource>(
+          *trace, config.batch_rows, config.max_request_rows);
     } else {
-      // CSV file or stdin: line-at-a-time, bounded memory.
-      std::ifstream file;
       const bool from_stdin = *flags.trace == "-";
       if (!from_stdin) {
         file.open(*flags.trace, std::ios::binary);
         if (!file) throw IoError("cannot open trace file: " + *flags.trace);
       }
-      CsvStreamReader reader(from_stdin ? std::cin : file,
-                             from_stdin ? "<stdin>" : *flags.trace);
-      CsvStreamRow row;
-      while (reader.next(row)) {
-        if (!push_one(row.server, row.time, row.items)) break;
-      }
+      source = std::make_unique<CsvClaimSource>(
+          from_stdin ? std::cin : file, from_stdin ? "<stdin>" : *flags.trace,
+          config.batch_rows, config.max_request_rows);
     }
+    result = run_sharded_serve(*source, model, config, options, on_snapshot,
+                               on_stats, on_block);
+    feed_error = result.feed_error;
   } catch (const Error& error) {
-    std::fprintf(stderr, "dpgreedy serve: %s\n", error.what());
-    feed_failed = true;
+    feed_error = error.what();
+  }
+  if (!feed_error.empty()) {
+    std::fprintf(stderr, "dpgreedy serve: %s\n", feed_error.c_str());
   }
 
-  if (!sharded) {
-    report = engine.finish();
-    final_ratio = engine.cost_ratio();
-    final_chunks = engine.probe_chunks();
-  }
   // The archive covers exactly the served rows — on a feed error that is
   // the valid prefix, which is still a well-formed `.dpt`.
+  bool archive_failed = false;
   if (archive_writer) {
     try {
       archive_writer->finish();
     } catch (const Error& error) {
       std::fprintf(stderr, "dpgreedy serve: archive: %s\n", error.what());
-      feed_failed = true;
+      archive_failed = true;
     }
   }
+  const RunReport& report = result.report;
   std::printf(
       "final requests=%zu total=%s ave=%s transfers=%zu packs=%zu "
       "unpacks=%zu ratio=%s chunks=%zu\n",
-      pushed, format_fixed(report.total_cost, 2).c_str(),
+      result.stats.requests, format_fixed(report.total_cost, 2).c_str(),
       format_fixed(report.ave_cost, 4).c_str(), report.transfer_events,
       report.package_count, report.unpack_events,
-      format_fixed(final_ratio, 3).c_str(), final_chunks);
+      format_fixed(result.cost_ratio, 3).c_str(), result.probe_chunks);
   write_prom();  // final exposition covers the whole run
   if (listener) listener->stop();
   finish_telemetry(flags);
-  return feed_failed ? 1 : 0;
+  return feed_error.empty() && !archive_failed ? 0 : 1;
 }
 
 void usage() {
