@@ -35,6 +35,7 @@
 #include "trace/shard_source.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/stopwatch.hpp"
 
 namespace dpg {
@@ -228,6 +229,8 @@ struct ServeRow {
   std::uint64_t allocs_warm = 0;
   std::uint64_t allocs_final = 0;
   bool allocs_flat = false;
+  std::uint64_t enqueue_blocked = 0;
+  std::uint64_t dequeue_blocked = 0;
   RunReport report;
 };
 
@@ -237,7 +240,11 @@ struct ServeRow {
 /// reproduce the 1×1 run (M = 1 ingests the exact global stream), and a 2×2
 /// run by item set must reproduce a serial routed two-engine reference (the
 /// canonical partitioned answer).  Timing compares the 2×2 run to the
-/// serial per-push loop.
+/// serial per-push loop: kTimingReps runs of each, alternating, so a burst
+/// of load from the host's neighbours lands on both sides; the speedup is
+/// the ratio of the median times, with the per-pair min/max next to it.
+constexpr std::size_t kTimingReps = 5;
+
 struct ShardedReport {
   std::size_t requests = 0;
   std::size_t shards = 2;
@@ -250,7 +257,9 @@ struct ShardedReport {
   bool one_by_one_identical = false;   // 1x1 == serial per-push loop
   double sharded_s = 0.0;
   double sharded_requests_per_s = 0.0;
-  double speedup = 0.0;
+  double speedup = 0.0;      // median serial_s / median sharded_s
+  double speedup_min = 0.0;  // over the kTimingReps (serial, 2x2) pairs
+  double speedup_max = 0.0;
   bool multicore = false;  // >= 4 hardware threads: the 2x gate arms
   bool bit_identical = false;          // 2x1 == 1x1 run
   bool partitioned_identical = false;  // 2x2 == routed serial reference
@@ -282,17 +291,17 @@ ShardedReport run_sharded_compare(const std::string& trace_path,
 
   // The serial per-push loop (decode + push, one thread): the timing
   // baseline and the 1×1 anchor.
-  RunReport serial_report;
-  {
+  const auto serial = [&](RunReport& out) {
     std::ifstream file = open_trace();
     CsvStreamReader reader(file, trace_path);
     StreamingEngine engine(model, eopts);
     CsvStreamRow row;
     Stopwatch watch;
     while (reader.next(row)) engine.push(row.server, row.time, row.items);
-    report.serial_s = watch.elapsed_seconds();
-    serial_report = engine.finish();
-  }
+    const double seconds = watch.elapsed_seconds();
+    out = engine.finish();
+    return seconds;
+  };
 
   // A timed serve run at (shards, partitions), snapshotting on the ingest
   // cadence for the allocation ceiling (merged state_alloc_events sums the
@@ -325,16 +334,10 @@ ShardedReport run_sharded_compare(const std::string& trace_path,
     row.allocs_flat = warm_done && row.allocs_final == row.allocs_warm;
     require(result.feed_error.empty(), "bm_stream: " + result.feed_error);
     row.report = result.report;
-    report.enqueue_blocked = result.stats.enqueue_blocked;
-    report.dequeue_blocked = result.stats.dequeue_blocked;
+    row.enqueue_blocked = result.stats.enqueue_blocked;
+    row.dequeue_blocked = result.stats.dequeue_blocked;
     return row;
   };
-
-  report.one_by_one = serve(1, 1);
-  report.one_by_one_identical =
-      reports_identical(report.one_by_one.report, serial_report);
-  report.bit_identical =
-      reports_identical(serve(2, 1).report, report.one_by_one.report);
 
   // Anchor 2: the serial routed reference for M = 2 by item set — decode on
   // one thread, route every row with the same hash, merge in partition
@@ -359,20 +362,46 @@ ShardedReport run_sharded_compare(const std::string& trace_path,
     reference_report = merge_partition_reports(parts);
   }
 
-  const ServeRow two_by_two = serve(2, 2);
-  report.sharded_s = two_by_two.s;
-  report.partitioned_identical =
-      reports_identical(two_by_two.report, reference_report);
-  report.total_cost = two_by_two.report.total_cost;
-  report.allocs_warm = two_by_two.allocs_warm;
-  report.allocs_final = two_by_two.allocs_final;
-  report.allocs_flat = two_by_two.allocs_flat;
+  // The timed pairs: serial, then 2×2, kTimingReps times.  Every 2×2 run
+  // must hit the reference; the first one's allocation counts are kept.
+  RunReport serial_report;
+  std::vector<double> serial_s;
+  std::vector<double> sharded_s;
+  report.partitioned_identical = true;
+  for (std::size_t rep = 0; rep < kTimingReps; ++rep) {
+    serial_s.push_back(serial(serial_report));
+    const ServeRow two_by_two = serve(2, 2);
+    sharded_s.push_back(two_by_two.s);
+    report.partitioned_identical =
+        report.partitioned_identical &&
+        reports_identical(two_by_two.report, reference_report);
+    if (rep > 0) continue;
+    report.total_cost = two_by_two.report.total_cost;
+    report.allocs_warm = two_by_two.allocs_warm;
+    report.allocs_final = two_by_two.allocs_final;
+    report.allocs_flat = two_by_two.allocs_flat;
+    report.enqueue_blocked = two_by_two.enqueue_blocked;
+    report.dequeue_blocked = two_by_two.dequeue_blocked;
+  }
 
+  report.one_by_one = serve(1, 1);
+  report.one_by_one_identical =
+      reports_identical(report.one_by_one.report, serial_report);
+  report.bit_identical =
+      reports_identical(serve(2, 1).report, report.one_by_one.report);
+
+  report.serial_s = percentile(serial_s, 50.0);
+  report.sharded_s = percentile(sharded_s, 50.0);
   report.serial_requests_per_s =
       static_cast<double>(requests) / std::max(report.serial_s, 1e-12);
   report.sharded_requests_per_s =
       static_cast<double>(requests) / std::max(report.sharded_s, 1e-12);
   report.speedup = report.serial_s / std::max(report.sharded_s, 1e-12);
+  for (std::size_t rep = 0; rep < kTimingReps; ++rep) {
+    const double pair = serial_s[rep] / std::max(sharded_s[rep], 1e-12);
+    report.speedup_min = rep == 0 ? pair : std::min(report.speedup_min, pair);
+    report.speedup_max = std::max(report.speedup_max, pair);
+  }
   std::remove(trace_path.c_str());
   return report;
 }
@@ -439,7 +468,11 @@ int run(const std::string& fragment_path, std::size_t requests) {
                 << "}, \"sharded_s\": " << sharded.sharded_s
                 << ", \"sharded_requests_per_s\": "
                 << sharded.sharded_requests_per_s
-                << ", \"speedup\": " << sharded.speedup << ", \"multicore\": "
+                << ", \"timing_reps\": " << kTimingReps
+                << ", \"speedup\": " << sharded.speedup
+                << ", \"speedup_min\": " << sharded.speedup_min
+                << ", \"speedup_max\": " << sharded.speedup_max
+                << ", \"multicore\": "
                 << (sharded.multicore ? "true" : "false")
                 << ", \"bit_identical\": "
                 << (sharded.bit_identical ? "true" : "false")
@@ -493,11 +526,13 @@ int run(const std::string& fragment_path, std::size_t requests) {
       one.allocs_flat ? "FLAT" : "GREW");
 
   std::printf(
-      "sharded: serial %.2fs (%.2fM req/s) -> 2x2 %.2fs (%.2fM req/s)  "
-      "speedup %.2fx (%s)  2x1 vs 1x1 %s  2x2 vs reference %s  allocs "
-      "%llu -> %llu (%s)  blocked enq %llu deq %llu\n",
-      sharded.serial_s, sharded.serial_requests_per_s / 1e6, sharded.sharded_s,
-      sharded.sharded_requests_per_s / 1e6, sharded.speedup,
+      "sharded (median of %zu): serial %.2fs (%.2fM req/s) -> 2x2 %.2fs "
+      "(%.2fM req/s)  speedup %.2fx [pairs %.2f..%.2f] (%s)  2x1 vs 1x1 %s  "
+      "2x2 vs reference %s  allocs %llu -> %llu (%s)  parked enq %llu deq "
+      "%llu\n",
+      kTimingReps, sharded.serial_s, sharded.serial_requests_per_s / 1e6,
+      sharded.sharded_s, sharded.sharded_requests_per_s / 1e6,
+      sharded.speedup, sharded.speedup_min, sharded.speedup_max,
       sharded.multicore ? "multicore" : "single core",
       sharded.bit_identical ? "IDENTICAL" : "DIVERGED",
       sharded.partitioned_identical ? "IDENTICAL" : "DIVERGED",

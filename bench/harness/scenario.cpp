@@ -184,6 +184,9 @@ const std::vector<ScenarioSpec>& scenario_registry() {
           gate_flag("allocs_flat", true),
           // The throughput floor: two decode shards + two engine
           // partitions must at least double the serial per-push loop.
+          // `speedup` is the ratio of the median times of five alternating
+          // runs of each side (speedup_min/max hold the per-pair spread),
+          // so one burst of host load cannot decide it.
           // Below four hardware threads the topology cannot pay for its
           // own threads, so the gate is skipped (both identity rows above
           // still bind).

@@ -139,6 +139,20 @@ class RequestBlock {
     end_row();
   }
 
+  /// One-step append of a row that is already canonical (sorted,
+  /// duplicate-free) — e.g. a row of another block, which the invariant
+  /// above guarantees.  No open-row bookkeeping and no sort.
+  void append_sorted_row(ServerId server, Time time,
+                         std::span<const ItemId> items) {
+    require(!viewed_ && !row_open_,
+            "RequestBlock: append_sorted_row on a viewed block or open row");
+    if (item_offsets_.empty()) item_offsets_.push_back(0);
+    servers_.push_back(server);
+    times_.push_back(time);
+    items_pool_.insert(items_pool_.end(), items.begin(), items.end());
+    item_offsets_.push_back(items_pool_.size());
+  }
+
   // --- viewed mode (zero-copy replay) --------------------------------------
 
   /// Points the block at external CSR columns without copying.  `offsets`

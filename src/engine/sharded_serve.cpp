@@ -1,9 +1,7 @@
 #include "engine/sharded_serve.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <map>
 #include <memory>
@@ -71,29 +69,57 @@ struct Envelope {
   RequestBlock block;
 };
 
-/// Same spin → yield → sleep ladder as the rings' internal waits.
-struct Backoff {
-  unsigned round = 0;
-  void wait() {
-    if (round < 64) {
-      // Busy spin: a peer is typically one block away.
-    } else if (round < 256) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-    ++round;
+/// The event count one thread parks on: a counter that producers bump
+/// after every state change the waiter may be waiting for.
+///
+/// A waiter takes `seen()`, re-checks its rings, and only then calls
+/// park(seen).  Every push and close bumps the count after its release
+/// store, so either the re-check observes it (the waiter's acquire load
+/// read the bump) or the bump lands after `seen` and the wait returns at
+/// once or is notified: no lost wakeup (docs/streaming.md).
+struct alignas(kCacheLineBytes) Signal {
+  std::atomic<std::uint32_t> count{0};
+
+  [[nodiscard]] std::uint32_t seen() const noexcept {
+    return count.load(std::memory_order_acquire);
+  }
+
+  void bump() noexcept {
+    count.fetch_add(1, std::memory_order_release);
+    count.notify_one();
+  }
+
+  void bump_all() noexcept {
+    count.fetch_add(1, std::memory_order_release);
+    count.notify_all();
+  }
+
+  /// Futex wait until the count moves past `seen`; counts one park.
+  void park(std::uint32_t seen, std::atomic<std::uint64_t>& parks) noexcept {
+    parks.fetch_add(1, std::memory_order_relaxed);
+    count.wait(seen, std::memory_order_acquire);
   }
 };
 
 /// One SPSC ring per (shard, partition) pair, in both directions: N×M work
 /// rings and N×M free rings.  Zero CAS anywhere; each consumer sweeps its
-/// N inbound rings with try_pop.
+/// N inbound rings with try_pop.  An idle thread parks on its own Signal:
+/// partition j on work_ready_[j] (bumped by every work-ring push and close
+/// into j), shard i on envelope_free_[i] (bumped by every recycle into
+/// one of i's free rings, which also follows the pop that freed a work-ring
+/// slot of i — a pop into the holdback is announced by that envelope's
+/// recycle, once the partition reaches its seq).  abort() bumps all of them.
 class Crossbar {
  public:
   Crossbar(std::size_t shards, std::size_t partitions,
            std::size_t ring_capacity)
-      : shards_(shards), partitions_(partitions), done_(partitions) {
+      : shards_(shards),
+        partitions_(partitions),
+        done_(partitions),
+        work_ready_(partitions),
+        envelope_free_(shards),
+        enqueue_parks_(partitions),
+        dequeue_parks_(partitions) {
     // free ring capacity ring_capacity + 2 covers every envelope of the
     // (i, j) pair — in the work ring + one in each side's hands — so
     // recycle()'s try_push can never fail.
@@ -111,26 +137,41 @@ class Crossbar {
     for (auto& d : done_) d.assign(shards_, 0);
   }
 
-  /// Shard i: takes a recycled envelope destined for partition j.
-  /// Blocking; false only when the run is being aborted.
+  /// Shard i: takes a recycled envelope destined for partition j.  Parks
+  /// while none is free; false only when the run is being aborted.
   bool acquire(std::size_t i, std::size_t j, Envelope& env) {
-    return free_[i * partitions_ + j]->pop(env);
+    SpscRing<Envelope>& ring = *free_[i * partitions_ + j];
+    for (;;) {
+      const std::uint32_t seen = envelope_free_[i].seen();
+      if (ring.try_pop(env)) return true;
+      if (ring.closed()) return false;  // only abort() closes a free ring
+      envelope_free_[i].park(seen, enqueue_parks_[j].count);
+    }
   }
 
-  /// Shard i: ships a filled envelope to partition j.  Blocking (this is
-  /// where work-ring backpressure lands); false only on abort.
+  /// Shard i: ships a filled envelope to partition j.  Parks while the
+  /// work ring is full (this is where backpressure lands); false only on
+  /// abort.
   bool send(std::size_t i, std::size_t j, Envelope& env) {
-    return work_[i * partitions_ + j]->push(env);
+    SpscRing<Envelope>& ring = *work_[i * partitions_ + j];
+    for (;;) {
+      const std::uint32_t seen = envelope_free_[i].seen();
+      if (ring.try_push(env)) {
+        work_ready_[j].bump();
+        return true;
+      }
+      if (ring.closed()) return false;
+      envelope_free_[i].park(seen, enqueue_parks_[j].count);
+    }
   }
 
-  /// Partition j: receives any inbound envelope.  Blocking; false when
-  /// every shard is done and the inbound rings are drained.
+  /// Partition j: receives any inbound envelope.  Parks while every open
+  /// inbound ring is empty; false when every shard is done and the inbound
+  /// rings are drained.
   bool receive(std::size_t j, Envelope& env) {
     std::vector<char>& done = done_[j];
-    // One wait ladder across empty sweeps: a fresh ladder per sweep would
-    // never reach the sleep rung.
-    Backoff backoff;
     for (;;) {
+      const std::uint32_t seen = work_ready_[j].seen();
       std::size_t open = 0;
       for (std::size_t i = 0; i < shards_; ++i) {
         if (done[i] != 0) continue;
@@ -146,43 +187,47 @@ class Crossbar {
         ++open;
       }
       if (open == 0) return false;
-      idle_waits_[j].count.fetch_add(1, std::memory_order_relaxed);
-      backoff.wait();
+      work_ready_[j].park(seen, dequeue_parks_[j].count);
     }
   }
 
   /// Partition j: returns a drained envelope to its shard's free ring.
   void recycle(std::size_t j, Envelope& env) {
+    const std::size_t i = env.shard;
     // Capacity covers every envelope of the pair, so this fails only when
     // the ring was closed by abort() — then the envelope is simply dropped.
-    if (!free_[env.shard * partitions_ + j]->try_push(env)) env = Envelope{};
+    if (free_[i * partitions_ + j]->try_push(env)) {
+      envelope_free_[i].bump();
+    } else {
+      env = Envelope{};
+    }
   }
 
   /// Shard i is done claiming: closes its work rings.
   void shard_done(std::size_t i) {
     for (std::size_t j = 0; j < partitions_; ++j) {
       work_[i * partitions_ + j]->close();
+      work_ready_[j].bump_all();
     }
   }
 
-  /// Any thread: tear everything down (error path).  All blocking calls
-  /// return false promptly afterwards.
+  /// Any thread: tear everything down (error path).  Every parked thread
+  /// wakes, and all blocking calls return false promptly afterwards.
   void abort() {
     for (auto& ring : work_) ring->close();
     for (auto& ring : free_) ring->close();
+    for (Signal& s : work_ready_) s.bump_all();
+    for (Signal& s : envelope_free_) s.bump_all();
   }
 
-  /// Backpressure, summed per partition.
+  /// Parks, summed per partition: shards waiting on partition j's rings,
+  /// and partition j waiting for work.
   [[nodiscard]] std::uint64_t enqueue_blocked(std::size_t j) const {
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < shards_; ++i) {
-      total += work_[i * partitions_ + j]->push_blocked();
-    }
-    return total;
+    return enqueue_parks_[j].count.load(std::memory_order_relaxed);
   }
 
   [[nodiscard]] std::uint64_t dequeue_blocked(std::size_t j) const {
-    return idle_waits_[j].count.load(std::memory_order_relaxed);
+    return dequeue_parks_[j].count.load(std::memory_order_relaxed);
   }
 
  private:
@@ -195,7 +240,10 @@ class Crossbar {
   std::vector<std::unique_ptr<SpscRing<Envelope>>> work_;  // [i*M + j]
   std::vector<std::unique_ptr<SpscRing<Envelope>>> free_;  // [i*M + j]
   std::vector<std::vector<char>> done_;  // per-consumer private state
-  std::array<PaddedCount, 64> idle_waits_;  // ServeConfig caps partitions at 64
+  std::vector<Signal> work_ready_;       // [j]
+  std::vector<Signal> envelope_free_;    // [i]
+  std::vector<PaddedCount> enqueue_parks_;  // [j]
+  std::vector<PaddedCount> dequeue_parks_;  // [j]
 };
 
 /// Pending barrier: what each partition contributed until all M arrive.
@@ -477,9 +525,9 @@ ShardedServeResult run_sharded_serve(
               const std::span<const ItemId> items = claimed.items_of(r);
               const std::size_t j = serve_partition_of(
                   server, items, config.flow_route, partitions);
-              envs[j].block.begin_row(server, claimed.time_of(r));
-              for (const ItemId item : items) envs[j].block.push_item(item);
-              envs[j].block.end_row();
+              // The claimed row is canonical already: copy it in one step.
+              envs[j].block.append_sorted_row(server, claimed.time_of(r),
+                                              items);
             }
           }
 

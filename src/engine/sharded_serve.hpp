@@ -11,7 +11,7 @@
 //
 // At N = M = 1 there are no threads and no rings: the calling thread claims
 // a block, push_batches it and takes its barrier snapshot itself.  Threads
-// start only when N·M > 1 — at 1×1 a second thread would only spin while
+// start only when N·M > 1 — at 1×1 a second thread would only wait while
 // the other works.
 //
 // Shards claim blocks from a ShardClaimSource (trace/shard_source.hpp) —
@@ -31,7 +31,9 @@
 //
 // Transport: one SPSC ring per (shard, partition) pair (N×M work rings,
 // zero CAS on the hot path), with envelopes recycling on matching free
-// rings, so steady state allocates nothing per block.  Every claimed block
+// rings, so steady state allocates nothing per block.  An idle shard or
+// partition parks on an event count (a futex wait) that every push, close
+// and recycle it waits for bumps, so waiting costs no CPU.  Every claimed block
 // ships exactly one envelope to every partition — empty sub-blocks included
 // (push_batch on an empty block is a documented no-op) — so each partition
 // receives the dense sequence 0, 1, 2, … and restores canonical trace order
@@ -161,9 +163,10 @@ class ReportBoard {
 struct ShardedServeStats {
   std::size_t requests = 0;  // rows ingested across all partitions
   std::size_t batches = 0;   // blocks claimed from the source
-  std::uint64_t enqueue_blocked = 0;  // shard waits on full work rings
-  std::uint64_t dequeue_blocked = 0;  // partition idle-waits for work
-                                      // (both 0 at 1×1: no rings)
+  // Parks (waits that reached the futex wait), both 0 at 1×1 (no rings):
+  std::uint64_t enqueue_blocked = 0;  // shards waiting for a free envelope
+                                      // or a work-ring slot
+  std::uint64_t dequeue_blocked = 0;  // partitions waiting for work
 };
 
 struct ShardedServeResult {

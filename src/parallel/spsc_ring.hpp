@@ -12,28 +12,25 @@
 //
 // Why not a mutex + deque: the ring is on the ingest hot path, where a
 // blocked producer means the trace decoder stalls.  Here the uncontended
-// push/pop cost is two relaxed loads and one release store, no allocation,
-// and the only waiting is explicit (the blocking push/pop variants spin
-// briefly, then yield, then sleep — and count every wait as backpressure,
-// so `ring.enqueue_blocked` / `ring.dequeue_blocked` in the metrics tell
-// which stage is the bottleneck).
+// push/pop cost is two relaxed loads and one release store, no allocation.
+// The ring never waits: try_push/try_pop report full/empty and return, and
+// the caller decides how to wait (the serve crossbar parks on an event count,
+// engine/sharded_serve.cpp).
 //
 // Each index lives on its own cache line together with the owner's cached
 // copy of the *other* index, so steady-state pushes/pops do not ping-pong a
 // shared line: the producer re-reads the consumer's index only when the ring
 // looks full against the cached value (and vice versa).
 //
-// Thread contract: exactly one producer thread calls try_push/push/close,
-// exactly one consumer thread calls try_pop/pop.  size()/capacity() and the
-// backpressure counters may be read from anywhere (relaxed).
+// Thread contract: exactly one producer thread calls try_push/close, exactly
+// one consumer thread calls try_pop.  size()/capacity()/closed() may be read
+// from anywhere.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <new>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -86,20 +83,6 @@ class SpscRing {
     return true;
   }
 
-  /// Producer: blocking push.  Spins, yields, then sleeps until a slot
-  /// frees up; each wait round counts once as backpressure.  Returns false
-  /// only if the ring was closed while waiting (value left intact).
-  bool push(T& value) {
-    if (try_push(value)) return true;
-    blocked_push_.fetch_add(1, std::memory_order_relaxed);
-    Backoff backoff;
-    while (!try_push(value)) {
-      if (closed_.load(std::memory_order_acquire)) return false;
-      backoff.wait();
-    }
-    return true;
-  }
-
   /// Consumer: attempts to move the oldest element out.  False when empty.
   [[nodiscard]] bool try_pop(T& out) {
     const std::uint64_t tail = tail_.index.load(std::memory_order_relaxed);
@@ -112,54 +95,16 @@ class SpscRing {
     return true;
   }
 
-  /// Consumer: blocking pop.  Waits until an element arrives; returns false
-  /// when the ring is closed *and* drained (the end-of-stream signal).
-  bool pop(T& out) {
-    if (try_pop(out)) return true;
-    blocked_pop_.fetch_add(1, std::memory_order_relaxed);
-    Backoff backoff;
-    for (;;) {
-      if (try_pop(out)) return true;
-      // Order matters: re-check contents after observing the closed flag,
-      // or elements pushed just before close() could be dropped.
-      if (closed_.load(std::memory_order_acquire)) return try_pop(out);
-      backoff.wait();
-    }
-  }
-
-  /// Producer: signals end of stream.  Pending elements stay poppable; a
-  /// blocked consumer wakes up and drains them, then pop() returns false.
+  /// Producer: signals end of stream.  Later pushes fail; pending elements
+  /// stay poppable.  A consumer that sees closed() must try_pop once more
+  /// before it stops, or an element pushed just before close() is dropped.
   void close() noexcept { closed_.store(true, std::memory_order_release); }
 
   [[nodiscard]] bool closed() const noexcept {
     return closed_.load(std::memory_order_acquire);
   }
 
-  /// Backpressure counters: how many pushes/pops entered a blocking wait.
-  [[nodiscard]] std::uint64_t push_blocked() const noexcept {
-    return blocked_push_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t pop_blocked() const noexcept {
-    return blocked_pop_.load(std::memory_order_relaxed);
-  }
-
  private:
-  /// Spin -> yield -> sleep, so a stalled peer costs microseconds of
-  /// latency, not a busy core.
-  struct Backoff {
-    unsigned round = 0;
-    void wait() {
-      if (round < 64) {
-        // Busy spin: the peer is typically one batch away.
-      } else if (round < 256) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-      ++round;
-    }
-  };
-
   /// An index plus its owner's cached copy of the peer index, padded to a
   /// cache line so producer and consumer never share one.
   struct alignas(kCacheLineBytes) PaddedIndex {
@@ -172,8 +117,6 @@ class SpscRing {
   PaddedIndex head_;  // producer-owned
   PaddedIndex tail_;  // consumer-owned
   alignas(kCacheLineBytes) std::atomic<bool> closed_{false};
-  std::atomic<std::uint64_t> blocked_push_{0};
-  std::atomic<std::uint64_t> blocked_pop_{0};
 };
 
 }  // namespace dpg

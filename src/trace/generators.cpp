@@ -109,11 +109,13 @@ RequestSequence generate_zipf_trace(const ZipfTraceConfig& config, Rng& rng) {
   require(config.co_access >= 0.0 && config.co_access <= 1.0,
           "zipf trace: co_access must be in [0, 1]");
 
-  // Precompute Zipf weights once (Rng::next_zipf is O(k) per draw).
+  // Precompute Zipf weights once (Rng::next_zipf is O(k) per draw), and
+  // their prefix sums: the table draws next_weighted's index in O(log k).
   std::vector<double> weights(config.item_count);
   for (std::size_t i = 0; i < config.item_count; ++i) {
     weights[i] = std::pow(static_cast<double>(i + 1), -config.zipf_exponent);
   }
+  const WeightedTable item_table(weights);
 
   UniqueClock clock;
   SequenceBuilder builder(config.server_count, config.item_count);
@@ -122,7 +124,7 @@ RequestSequence generate_zipf_trace(const ZipfTraceConfig& config, Rng& rng) {
   for (std::size_t i = 0; i < config.request_count; ++i) {
     t += rng.next_exponential(1.0 / config.mean_gap);
     server = sticky_walk(server, config.locality, config.server_count, rng);
-    const auto item = static_cast<ItemId>(rng.next_weighted(weights));
+    const auto item = static_cast<ItemId>(item_table.draw(rng));
     std::vector<ItemId> items{item};
     const ItemId partner = item ^ 1u;
     if (partner < config.item_count && rng.next_bool(config.co_access)) {

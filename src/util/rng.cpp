@@ -1,7 +1,11 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
+
+#include "util/error.hpp"
 
 namespace dpg {
 
@@ -84,15 +88,20 @@ bool Rng::next_bool(double probability_true) noexcept {
   return next_double() < probability_true;
 }
 
-std::size_t Rng::next_weighted(std::span<const double> weights) noexcept {
+std::size_t weighted_index(std::span<const double> weights,
+                           double u) noexcept {
   double total = 0.0;
   for (const double w : weights) total += w;
-  double target = next_double() * total;
+  double target = u * total;
   for (std::size_t i = 0; i < weights.size(); ++i) {
     target -= weights[i];
     if (target < 0.0) return i;
   }
   return weights.empty() ? 0 : weights.size() - 1;
+}
+
+std::size_t Rng::next_weighted(std::span<const double> weights) noexcept {
+  return weighted_index(weights, next_double());
 }
 
 std::size_t Rng::next_zipf(std::size_t n, double s) noexcept {
@@ -113,6 +122,38 @@ Rng Rng::split() noexcept {
   const std::uint64_t a = next_u64();
   const std::uint64_t b = next_u64();
   return Rng(a ^ rotl(b, 31));
+}
+
+WeightedTable::WeightedTable(std::span<const double> weights)
+    : weights_(weights.begin(), weights.end()) {
+  require(!weights_.empty(), "WeightedTable: no weights");
+  prefix_.reserve(weights_.size());
+  double total = 0.0;
+  for (const double w : weights_) {
+    require(w >= 0.0, "WeightedTable: weights must be non-negative");
+    total += w;
+    prefix_.push_back(total);
+  }
+  require(total > 0.0, "WeightedTable: weights must have a positive sum");
+  // The scan's running remainder after index i and target − prefix_[i]
+  // differ by at most (2k+1)·ε/2·Σw (one rounding per subtraction and per
+  // addition); the band is about four times that.
+  band_ = 4.0 * static_cast<double>(weights_.size() + 1) *
+          std::numeric_limits<double>::epsilon() * total;
+}
+
+std::size_t WeightedTable::index_of(double u) const noexcept {
+  // Same product as weighted_index: prefix_.back() is its `total`.
+  const double target = u * prefix_.back();
+  const auto it = std::upper_bound(prefix_.begin(), prefix_.end(), target);
+  const auto i = static_cast<std::size_t>(it - prefix_.begin());
+  // Far from both neighbouring boundaries, the scan's remainder has the
+  // sign the prefix sums say; otherwise let the scan decide.
+  if (i < prefix_.size() && prefix_[i] - target > band_ &&
+      (i == 0 || target - prefix_[i - 1] > band_)) {
+    return i;
+  }
+  return weighted_index(weights_, u);
 }
 
 }  // namespace dpg

@@ -17,6 +17,14 @@ namespace dpg {
 /// Public because tests and stream-splitting also use it directly.
 [[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
+/// The discrete inverse CDF as a linear scan: subtracts weights from
+/// u·Σweights left to right and returns the first index that takes it below
+/// zero (the last index if none does; 0 for no weights).  This exact
+/// floating-point chain defines Rng::next_weighted's answer, and it is the
+/// oracle WeightedTable reproduces.
+[[nodiscard]] std::size_t weighted_index(std::span<const double> weights,
+                                         double u) noexcept;
+
 /// Deterministic pseudo-random generator (xoshiro256**).
 ///
 /// Satisfies `std::uniform_random_bit_generator`, so it can also feed
@@ -57,8 +65,10 @@ class Rng {
   /// Bernoulli trial.
   bool next_bool(double probability_true) noexcept;
 
-  /// Index drawn from the discrete distribution proportional to `weights`.
-  /// Weights must be non-negative with a positive sum.
+  /// Index drawn from the discrete distribution proportional to `weights`:
+  /// weighted_index(weights, next_double()), O(k) per draw.  Weights must be
+  /// non-negative with a positive sum.  Many draws from one weight vector
+  /// should use WeightedTable, which returns the same index.
   std::size_t next_weighted(std::span<const double> weights) noexcept;
 
   /// Zipf-distributed rank in [0, n) with exponent `s` (s = 0 is uniform).
@@ -84,6 +94,30 @@ class Rng {
   std::uint64_t state_[4];
   double cached_gaussian_ = 0.0;
   bool has_cached_gaussian_ = false;
+};
+
+/// Many draws from one fixed weight vector in O(log k) each: the left-to-
+/// right prefix sums are built once and binary-searched.  draw() consumes
+/// exactly one next_double() and returns exactly next_weighted's index —
+/// the prefix sums round the same way the linear scan does up to a
+/// band of 4(k+1)·ε·Σw, and a target inside that band of a boundary (or at
+/// or past the last one) falls back to the linear scan itself.
+class WeightedTable {
+ public:
+  /// Weights must be non-empty and non-negative with a positive sum.
+  explicit WeightedTable(std::span<const double> weights);
+
+  /// weighted_index(weights, u) for u in [0, 1).
+  [[nodiscard]] std::size_t index_of(double u) const noexcept;
+
+  std::size_t draw(Rng& rng) const noexcept {
+    return index_of(rng.next_double());
+  }
+
+ private:
+  std::vector<double> weights_;
+  std::vector<double> prefix_;  // prefix_[i] = fl(w0 + … + wi), in order
+  double band_ = 0.0;
 };
 
 }  // namespace dpg

@@ -15,6 +15,10 @@
 // ShardedServe.* runs under TSan in CI alongside the ring suites.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/time.h>
+
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -22,6 +26,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -821,6 +826,158 @@ TEST(ShardedServe, EngineRejectionMidBlockEndsTheFeedAtOnePartition) {
     EXPECT_NE(result.feed_error.find("strictly increasing"), std::string::npos)
         << result.feed_error;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Crossbar waiting: idle threads park on an event count (one futex wait per
+// idle spell), every wakeup arrives, and abort() wakes everyone.
+
+double process_cpu_seconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+TEST(ShardedServe, IdleThreadsParkInsteadOfSpinning) {
+  // A feed that trickles: every claim takes ~2 ms, so at 2×2 the partitions
+  // are idle almost all the time.  Each idle spell may cost a park or two,
+  // never a spin loop.
+  class PacedSource final : public ShardClaimSource {
+   public:
+    PacedSource(const RequestSequence& trace, std::size_t batch,
+                std::size_t limit)
+        : inner_(trace, batch, limit) {}
+    bool claim(RequestBlock& block, std::uint64_t& seq,
+               std::size_t& rows_through) override {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      return inner_.claim(block, seq, rows_through);
+    }
+
+   private:
+    SequenceClaimSource inner_;
+  };
+  constexpr std::size_t kBatch = 4;
+  constexpr std::size_t kBlocks = 100;
+  constexpr std::size_t kShards = 2;
+  constexpr std::size_t kPartitions = 2;
+  const RequestSequence trace = golden_trace();
+  StreamingOptions options;
+  options.online = grid_options(50, 10);
+  ServeConfig config;
+  config.batch(kBatch).shards(kShards).partitions(kPartitions)
+      .snapshot_every(0);
+  PacedSource source(trace, kBatch, kBatch * kBlocks);
+
+  const double cpu_before = process_cpu_seconds();
+  const auto wall_before = std::chrono::steady_clock::now();
+  const ShardedServeResult result =
+      run_sharded_serve(source, kModel, config, options);
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - wall_before)
+                          .count();
+  const double cpu = process_cpu_seconds() - cpu_before;
+
+  ASSERT_TRUE(result.feed_error.empty()) << result.feed_error;
+  EXPECT_EQ(result.stats.batches, kBlocks);
+  EXPECT_EQ(result.stats.requests, kBatch * kBlocks);
+  EXPECT_LE(result.stats.enqueue_blocked + result.stats.dequeue_blocked,
+            2 * kBlocks * (kShards + kPartitions))
+      << "enqueue " << result.stats.enqueue_blocked << " dequeue "
+      << result.stats.dequeue_blocked;
+  EXPECT_LE(cpu, 0.25 * wall) << "cpu " << cpu << " s, wall " << wall << " s";
+}
+
+TEST(ShardedServe, NoLostWakeupsWithOneSlotRings) {
+  // Ring capacity 1 keeps every shard and partition on the edge of full
+  // and empty, so nearly every hand-off goes through a park and a wake.  A
+  // lost wakeup hangs the run; a misordered hand-off changes the report.
+  const RequestSequence trace = golden_trace();
+  StreamingOptions options;
+  options.online = grid_options(50, 10);
+  for (const std::size_t partitions : {1u, 2u, 4u}) {
+    ServeConfig base;
+    base.partitions(partitions).ring(1).snapshot_every(0);
+    const ReferenceRun ref = reference_partitioned_run(trace, base, options);
+    for (const std::size_t shards : {1u, 2u, 4u}) {
+      for (const std::size_t batch : {1u, 7u}) {
+        ServeConfig config = base;
+        config.shards(shards).batch(batch);
+        for (int rep = 0; rep < 50; ++rep) {
+          const std::string label =
+              "N=" + std::to_string(shards) + " M=" +
+              std::to_string(partitions) + " batch=" + std::to_string(batch) +
+              " rep=" + std::to_string(rep);
+          SequenceClaimSource source(trace, config.batch_rows);
+          const ShardedServeResult result =
+              run_sharded_serve(source, kModel, config, options);
+          ASSERT_TRUE(result.feed_error.empty()) << label;
+          ASSERT_EQ(result.stats.requests, trace.size()) << label;
+          ASSERT_EQ(result.report.total_cost, ref.result.report.total_cost)
+              << label;
+          ASSERT_EQ(result.report.transfer_events,
+                    ref.result.report.transfer_events)
+              << label;
+          ASSERT_EQ(result.report.package_count,
+                    ref.result.report.package_count)
+              << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(ShardedServe, EngineFaultWakesParkedThreadsAndRethrows) {
+  // Shard A claims block kFaultSeq and stalls for 100 ms before shipping
+  // it; meanwhile shard B runs ahead until every envelope it owns sits in a
+  // partition's holdback, so B and both partitions park.  Block kFaultSeq
+  // holds a backwards time the engine rejects; at M = 2 that fault must
+  // wake every parked thread and come back out of run_sharded_serve.  The
+  // feed never ends on its own, so a thread left parked hangs the test.
+  constexpr std::uint64_t kFaultSeq = 5;
+  class StallingSource final : public ShardClaimSource {
+   public:
+    bool claim(RequestBlock& block, std::uint64_t& seq,
+               std::size_t& rows_through) override {
+      {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        seq = next_++;
+      }
+      block.clear();
+      const std::vector<ItemId> items = {1, 2};
+      for (std::size_t r = 0; r < 10; ++r) {
+        const auto row = static_cast<Time>(seq * 10 + r + 1);
+        // Both servers in every block, so both partitions get rows; row 5
+        // of the fault block goes back in time for server 0.
+        const ServerId server = r % 2 == 0 ? 0 : 1;
+        block.append_row(server, seq == kFaultSeq && r == 4 ? 1.0 : row,
+                         items);
+      }
+      rows_through = static_cast<std::size_t>(seq + 1) * 10;
+      if (seq == kFaultSeq) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      }
+      return true;
+    }
+
+   private:
+    std::mutex mutex_;
+    std::uint64_t next_ = 0;
+  };
+  StreamingOptions options;
+  options.online = grid_options(50, 10);
+  ServeConfig config;
+  config.batch(10).shards(2).partitions(2).ring(1).snapshot_every(0);
+  StallingSource source;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(run_sharded_serve(source, kModel, config, options), Error);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 5.0);
 }
 
 // ---------------------------------------------------------------------------

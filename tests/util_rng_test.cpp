@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <set>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -83,6 +85,70 @@ TEST(Rng, WeightedFavorsHeavyBuckets) {
   EXPECT_EQ(hits[1], 0);
   EXPECT_NEAR(static_cast<double>(hits[2]) / static_cast<double>(hits[0]), 3.0,
               0.3);
+}
+
+std::vector<double> zipf_weights(std::size_t k) {
+  std::vector<double> weights(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    weights[i] = std::pow(static_cast<double>(i + 1), -1.0);
+  }
+  return weights;
+}
+
+TEST(WeightedTable, DrawsNextWeightedsIndexOnZipfWeights) {
+  for (const std::size_t k : {2u, 3u, 2000u}) {
+    const std::vector<double> weights = zipf_weights(k);
+    const WeightedTable table(weights);
+    Rng fast(k), oracle(k);
+    for (int i = 0; i < 1000000; ++i) {
+      ASSERT_EQ(table.draw(fast), oracle.next_weighted(weights))
+          << "k=" << k << " draw " << i;
+    }
+    EXPECT_EQ(fast.next_u64(), oracle.next_u64());  // one draw each
+  }
+}
+
+TEST(WeightedTable, SkipsZeroWeightsLikeTheScan) {
+  const std::vector<double> weights{0.0, 0.0, 1.5, 0.0, 0.25, 0.0,
+                                    0.0, 3.0, 0.0, 0.0};
+  const WeightedTable table(weights);
+  Rng fast(5), oracle(5);
+  for (int i = 0; i < 200000; ++i) {
+    const std::size_t index = table.draw(fast);
+    ASSERT_EQ(index, oracle.next_weighted(weights)) << "draw " << i;
+    ASSERT_GT(weights[index], 0.0);
+  }
+}
+
+TEST(WeightedTable, MatchesTheScanAtEveryPrefixBoundary) {
+  // u placed so that u·Σw lands on (or a few ulps around) each prefix sum:
+  // where the scan's rounding decides the index, the table must defer to it.
+  std::vector<std::vector<double>> cases = {
+      zipf_weights(2), zipf_weights(3), zipf_weights(2000),
+      {0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 1e-300, 0.5, 0.0}};
+  for (const std::vector<double>& weights : cases) {
+    const WeightedTable table(weights);
+    double total = 0.0;
+    for (const double w : weights) total += w;
+    double prefix = 0.0;
+    std::size_t checked = 0;
+    for (const double w : weights) {
+      prefix += w;
+      double up = prefix / total;
+      double down = up;
+      for (int step = 0; step <= 4; ++step) {
+        for (const double u : {up, down}) {
+          if (u < 0.0 || u >= 1.0) continue;
+          ASSERT_EQ(table.index_of(u), weighted_index(weights, u))
+              << "k=" << weights.size() << " u=" << u;
+          ++checked;
+        }
+        up = std::nextafter(up, 2.0);
+        down = std::nextafter(down, -1.0);
+      }
+    }
+    EXPECT_GT(checked, weights.size());
+  }
 }
 
 TEST(Rng, ZipfSkewsTowardsLowRanks) {

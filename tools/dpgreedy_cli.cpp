@@ -19,8 +19,9 @@
 //                     server|itemset) otherwise; --stats-every prints live
 //                     rate/latency lines, --prom-out keeps an
 //                     atomically-replaced Prometheus text-format snapshot
-//                     file fresh, --listen serves GET /metrics + /healthz
-//                     from the double-buffered snapshot board, and
+//                     file fresh (at most one rewrite a second), --listen
+//                     serves GET /metrics + /healthz from the
+//                     double-buffered snapshot board, and
 //                     --archive keeps a byte-exact `.dpt` copy of the feed.
 //                     Every flag parses into the one ServeConfig.)
 //
@@ -508,8 +509,9 @@ int cmd_serve(int argc, const char* const* argv) {
       0);
   const std::string* prom_out = args.add_string(
       "prom-out",
-      "write a Prometheus text-format snapshot here on every stats/snapshot "
-      "cadence and at exit (atomic rename; enables telemetry)",
+      "write a Prometheus text-format snapshot here on stats/snapshot "
+      "cadence, at most once per second, and at exit (atomic rename; "
+      "enables telemetry)",
       "");
   const std::size_t* batch = args.add_size(
       "batch", "requests per block (the push_batch unit)", 1024);
@@ -622,10 +624,24 @@ int cmd_serve(int argc, const char* const* argv) {
                    config.prom_path.c_str());
     }
   };
+  // Barriers rewrite the file at most once per kPromRewriteSeconds of serve
+  // time, whatever the snapshot/stats cadence: each rewrite is a file
+  // create + write + rename.  The callbacks are serialized, so the last-
+  // write time needs no lock.  The final write after the `final` line
+  // always happens.
+  constexpr double kPromRewriteSeconds = 1.0;
+  const Stopwatch serve_watch;
+  double prom_written_at = 0.0;
+  const auto rewrite_prom = [&] {
+    const double now = serve_watch.elapsed_seconds();
+    if (now - prom_written_at < kPromRewriteSeconds) return;
+    prom_written_at = now;
+    write_prom();
+  };
 
   // Barrier snapshots arrive merged across partitions, in stream order.
   const ShardedSnapshotCallback on_snapshot =
-      [&write_prom, &board](const StreamingSnapshot& s, std::size_t) {
+      [&rewrite_prom, &board](const StreamingSnapshot& s, std::size_t) {
         std::printf(
             "snapshot requests=%zu epoch=%zu packages=%zu items=%zu total=%s "
             "ave=%s delta=%s ratio=%s allocs=%llu\n",
@@ -636,14 +652,13 @@ int cmd_serve(int argc, const char* const* argv) {
             format_fixed(s.cost_ratio, 3).c_str(),
             static_cast<unsigned long long>(s.state_alloc_events));
         std::fflush(stdout);
-        write_prom();
+        rewrite_prom();
         board.publish(s);
       };
 
   // The live stats line: ingest rate since start plus the block-latency
   // distribution from the stream.batch_ns histogram.  A distinct `stats `
   // prefix, so consumers of `snapshot `/`final ` lines are unaffected.
-  const Stopwatch serve_watch;
   const ShardedStatsCallback on_stats = [&](std::size_t rows,
                                             std::size_t epoch) {
     const obs::MetricsSnapshot m = obs::snapshot_metrics();
@@ -664,7 +679,7 @@ int cmd_serve(int argc, const char* const* argv) {
         static_cast<unsigned long long>(
             obs::histogram_quantile_upper(*latency, 0.99)));
     std::fflush(stdout);
-    write_prom();
+    rewrite_prom();
   };
 
   // `serve --archive FILE` keeps a byte-exact `.dpt` copy of the served
