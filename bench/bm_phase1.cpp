@@ -10,6 +10,7 @@
 // Allocation counts come from a global operator new/delete override local to
 // this binary: every new/new[] bumps one relaxed atomic.  That makes
 // "allocations per solve" an exact count, not a sampling estimate.
+#include <algorithm>
 #include <atomic>
 #include <cstdarg>
 #include <cstdint>
@@ -27,6 +28,7 @@
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "trace/generators.hpp"
+#include "util/stats.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {
@@ -287,22 +289,48 @@ std::vector<RegistryRow> run_registry() {
 
 /// Telemetry cost on the end-to-end dp_greedy solve, broken down: recording
 /// fully off, counters only (spans disabled), and counters + spans.  The
-/// workload is ~10x the registry rows' (2000 requests/pair) so each solve is
-/// in the milliseconds and best-of-N percentages are stable.  Runs last so
+/// paired workload (5 pairs × 100k requests) keeps each solve above ~50 ms,
+/// so a scheduler hiccup is a small share of one rep.  The three modes
+/// alternate rep by rep (each round starts at the next mode), so a burst of
+/// host load lands on all of them; each overhead is the ratio of the median
+/// times, with the min/max of the per-round ratios next to it.  Runs last so
 /// enabling telemetry cannot perturb the alloc counts above.
+constexpr std::size_t kTelemetryRequestsPerPair = 100000;
+constexpr int kTelemetryRounds = 21;
+
 struct TelemetryReport {
-  double off_ms = 0.0;
+  std::size_t requests = 0;
+  double off_ms = 0.0;       // medians over kTelemetryRounds
   double counters_ms = 0.0;
   double full_ms = 0.0;
+  double counters_overhead_pct = 0.0;  // median counters / median off − 1
+  double counters_overhead_pct_min = 0.0;
+  double counters_overhead_pct_max = 0.0;
+  double full_overhead_pct = 0.0;
+  double full_overhead_pct_min = 0.0;
+  double full_overhead_pct_max = 0.0;
   bool cost_identical = false;
-  std::string counters_json = "{}";
+  std::string counters_json = "{}";  // one full-telemetry solve
   std::uint64_t trace_events = 0;
 };
+
+enum TelemetryMode { kOff = 0, kCounters = 1, kFull = 2, kModes = 3 };
+
+void set_telemetry_mode(int mode) {
+  obs::set_enabled(mode != kOff);
+  obs::set_spans_enabled(mode == kFull);
+  obs::reset_metrics();
+  obs::reset_trace();
+}
+
+double overhead_pct(double on_ms, double off_ms) {
+  return off_ms > 0.0 ? (on_ms / off_ms - 1.0) * 100.0 : 0.0;
+}
 
 TelemetryReport run_telemetry() {
   PairedTraceConfig config;
   config.server_count = 50;
-  config.requests_per_pair = 2000;
+  config.requests_per_pair = kTelemetryRequestsPerPair;
   Rng rng(7);
   const RequestSequence seq = generate_paired_trace(config, rng);
   const CostModel model{1.0, 2.0, 0.8};
@@ -311,28 +339,56 @@ TelemetryReport run_telemetry() {
   solver_config.keep_schedules = false;
 
   TelemetryReport report;
+  report.requests = seq.size();
   const auto solve_cost = [&] {
     return builtin_registry().run("dp_greedy", seq, model, solver_config)
         .total_cost;
   };
-  const auto solve = [&] { (void)solve_cost(); };
-  const Cost off_cost = solve_cost();  // warm-up
-  report.off_ms = time_best_ms(solve);
+  std::vector<double> ms[kModes];
+  for (int mode = 0; mode < kModes; ++mode) {  // warm-up, one per mode
+    set_telemetry_mode(mode);
+    (void)solve_cost();
+  }
+  for (int round = 0; round < kTelemetryRounds; ++round) {
+    for (int step = 0; step < kModes; ++step) {
+      const int mode = (round + step) % kModes;
+      set_telemetry_mode(mode);
+      const Stopwatch watch;
+      (void)solve_cost();
+      ms[mode].push_back(watch.elapsed_seconds() * 1e3);
+    }
+  }
 
-  obs::set_enabled(true);
-  obs::set_spans_enabled(false);
-  obs::reset_metrics();
-  obs::reset_trace();
-  report.counters_ms = time_best_ms(solve);
+  report.off_ms = percentile(ms[kOff], 50.0);
+  report.counters_ms = percentile(ms[kCounters], 50.0);
+  report.full_ms = percentile(ms[kFull], 50.0);
+  report.counters_overhead_pct = overhead_pct(report.counters_ms, report.off_ms);
+  report.full_overhead_pct = overhead_pct(report.full_ms, report.off_ms);
+  std::vector<double> counters_pct;
+  std::vector<double> full_pct;
+  for (int round = 0; round < kTelemetryRounds; ++round) {
+    const auto r = static_cast<std::size_t>(round);
+    counters_pct.push_back(overhead_pct(ms[kCounters][r], ms[kOff][r]));
+    full_pct.push_back(overhead_pct(ms[kFull][r], ms[kOff][r]));
+  }
+  report.counters_overhead_pct_min =
+      *std::min_element(counters_pct.begin(), counters_pct.end());
+  report.counters_overhead_pct_max =
+      *std::max_element(counters_pct.begin(), counters_pct.end());
+  report.full_overhead_pct_min =
+      *std::min_element(full_pct.begin(), full_pct.end());
+  report.full_overhead_pct_max =
+      *std::max_element(full_pct.begin(), full_pct.end());
 
-  obs::set_spans_enabled(true);
-  obs::reset_metrics();
-  obs::reset_trace();
-  report.full_ms = time_best_ms(solve);
+  // One more solve per side for the identity flag and the telemetry it
+  // records (counters and span count of exactly one solve).
+  set_telemetry_mode(kOff);
+  const Cost off_cost = solve_cost();
+  set_telemetry_mode(kFull);
   report.cost_identical = solve_cost() == off_cost;
   report.counters_json = harness::metrics_counters_json();
   report.trace_events = obs::snapshot_trace().size();
-  obs::set_enabled(false);
+  set_telemetry_mode(kOff);
   return report;
 }
 
@@ -361,14 +417,6 @@ int run(const std::string& fragment_path) {
   const std::uint64_t rss_after_registry = harness::peak_rss_bytes();
   std::printf("telemetry overhead ...\n");
   const TelemetryReport telemetry = run_telemetry();
-  const double counters_overhead_pct =
-      telemetry.off_ms > 0.0
-          ? (telemetry.counters_ms / telemetry.off_ms - 1.0) * 100.0
-          : 0.0;
-  const double full_overhead_pct =
-      telemetry.off_ms > 0.0
-          ? (telemetry.full_ms / telemetry.off_ms - 1.0) * 100.0
-          : 0.0;
 
   std::string phase1_body;
   appendf(phase1_body, "{\"repetitions\": %d, \"rows\": [", kRepetitions);
@@ -417,14 +465,22 @@ int run(const std::string& fragment_path) {
 
   std::string telemetry_body;
   appendf(telemetry_body,
-          "{\"dp_greedy_off_ms\": %.3f, \"counters_only_ms\": %.3f, "
+          "{\"requests\": %zu, \"rounds\": %d, "
+          "\"dp_greedy_off_ms\": %.3f, \"counters_only_ms\": %.3f, "
           "\"full_ms\": %.3f, \"counters_overhead_pct\": %.1f, "
-          "\"full_overhead_pct\": %.1f, \"cost_identical\": %s, "
+          "\"counters_overhead_pct_min\": %.1f, "
+          "\"counters_overhead_pct_max\": %.1f, "
+          "\"full_overhead_pct\": %.1f, \"full_overhead_pct_min\": %.1f, "
+          "\"full_overhead_pct_max\": %.1f, \"cost_identical\": %s, ",
+          telemetry.requests, kTelemetryRounds, telemetry.off_ms,
+          telemetry.counters_ms, telemetry.full_ms,
+          telemetry.counters_overhead_pct, telemetry.counters_overhead_pct_min,
+          telemetry.counters_overhead_pct_max, telemetry.full_overhead_pct,
+          telemetry.full_overhead_pct_min, telemetry.full_overhead_pct_max,
+          telemetry.cost_identical ? "true" : "false");
+  appendf(telemetry_body,
           "\"trace_events\": %llu, \"counters\": %s, "
           "\"peak_rss_bytes\": %llu}",
-          telemetry.off_ms, telemetry.counters_ms, telemetry.full_ms,
-          counters_overhead_pct, full_overhead_pct,
-          telemetry.cost_identical ? "true" : "false",
           static_cast<unsigned long long>(telemetry.trace_events),
           telemetry.counters_json.c_str(),
           static_cast<unsigned long long>(harness::peak_rss_bytes()));
@@ -458,11 +514,15 @@ int run(const std::string& fragment_path) {
                 static_cast<unsigned long long>(r.allocs));
   }
   std::printf(
-      "telemetry dp_greedy: off %.3f ms, counters %.3f ms (%+.1f%%), "
-      "full %.3f ms (%+.1f%%), %llu trace events, costs %s, "
+      "telemetry dp_greedy (%zu requests, medians of %d): off %.3f ms, "
+      "counters %.3f ms (%+.1f%%, rounds %+.1f..%+.1f%%), full %.3f ms "
+      "(%+.1f%%, rounds %+.1f..%+.1f%%), %llu trace events, costs %s, "
       "peak rss %.1f MiB\n",
-      telemetry.off_ms, telemetry.counters_ms, counters_overhead_pct,
-      telemetry.full_ms, full_overhead_pct,
+      telemetry.requests, kTelemetryRounds, telemetry.off_ms,
+      telemetry.counters_ms, telemetry.counters_overhead_pct,
+      telemetry.counters_overhead_pct_min, telemetry.counters_overhead_pct_max,
+      telemetry.full_ms, telemetry.full_overhead_pct,
+      telemetry.full_overhead_pct_min, telemetry.full_overhead_pct_max,
       static_cast<unsigned long long>(telemetry.trace_events),
       telemetry.cost_identical ? "identical" : "DIFFER",
       static_cast<double>(harness::peak_rss_bytes()) / (1024.0 * 1024.0));

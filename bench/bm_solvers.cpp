@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks for the solver substrate: the optimal
-// offline DP (both inner-minimum strategies), greedy, the Section-V index
+// offline DP (the production window-min kernels and the reference DP's
+// literal Section-V scan), greedy, the Section-V index
 // build, correlation analysis, the full DP_Greedy pipeline, and every
 // registry solver end to end (one benchmark per registered name).
 //
@@ -58,12 +59,12 @@ void BM_OptimalOfflineNaiveScan(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Flow flow = make_flow(n, 16, 1);
   const CostModel model{1.0, 1.0, 0.8};
-  OptimalOfflineOptions options;
-  options.build_schedule = false;
-  options.fast_range_min = false;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        solve_optimal_offline(flow, model, 16, options).raw_cost);
+        reference::solve_optimal_offline_reference(
+            flow, model, 16, reference::RangeMin::kLiteralScan,
+            /*build_schedule=*/false)
+            .raw_cost);
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }

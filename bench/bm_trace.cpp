@@ -29,6 +29,7 @@
 #include "engine/registry.hpp"
 #include "harness/fragment.hpp"
 #include "harness_common.hpp"
+#include "reference/csv_legacy.hpp"
 #include "trace/dpt.hpp"
 #include "trace/generators.hpp"
 #include "trace/io.hpp"

@@ -1,8 +1,10 @@
 // Section V-B — the O(mn^2) time / O(mn) space claims, measured.
 //
-// We time the literal Section-V implementation (naive inner scan, the
-// paper's O(mn^2)) and the optimized window-min variant across n, fit the
-// time-vs-n power law, and account the index structure's O(mn) footprint.
+// We time the literal Section-V recurrence (the reference DP's O(n) inner
+// scan per node, the paper's O(mn^2)) against the production window-min DP
+// across n, fit the time-vs-n power law, and account the index structure's
+// O(mn) footprint.  Both sides are warmed up before timing and alternate
+// which one runs first, so neither pays for a cold cache the other skips.
 #include <cstdio>
 #include <vector>
 
@@ -22,17 +24,45 @@ Flow flow_of_first_item(const RequestSequence& seq) {
   return make_item_flow(seq, 0);
 }
 
-double time_solver(const Flow& flow, const CostModel& model, std::size_t m,
-                   bool fast, int repeats) {
-  OptimalOfflineOptions options;
-  options.fast_range_min = fast;
-  options.build_schedule = false;
-  Stopwatch watch;
-  for (int r = 0; r < repeats; ++r) {
-    const SolveResult result = solve_optimal_offline(flow, model, m, options);
-    (void)result;
+/// One solve without schedule reconstruction, in seconds: the reference
+/// DP's literal scan (`naive`) or the production window-min DP.
+double time_one_solve(const Flow& flow, const CostModel& model, std::size_t m,
+                      bool naive) {
+  const Stopwatch watch;
+  if (naive) {
+    (void)reference::solve_optimal_offline_reference(
+        flow, model, m, reference::RangeMin::kLiteralScan,
+        /*build_schedule=*/false);
+  } else {
+    OptimalOfflineOptions options;
+    options.build_schedule = false;
+    (void)solve_optimal_offline(flow, model, m, options);
   }
-  return watch.elapsed_seconds() / repeats;
+  return watch.elapsed_seconds();
+}
+
+struct PairTiming {
+  double naive = 0.0;  // mean seconds per solve
+  double fast = 0.0;
+};
+
+/// One untimed warm-up solve of each side, then `repeats` timed rounds of
+/// one solve each; odd rounds run the window-min side first.
+PairTiming time_both(const Flow& flow, const CostModel& model, std::size_t m,
+                     int repeats) {
+  (void)time_one_solve(flow, model, m, true);
+  (void)time_one_solve(flow, model, m, false);
+  PairTiming timing;
+  for (int r = 0; r < repeats; ++r) {
+    const bool naive_first = r % 2 == 0;
+    const double first = time_one_solve(flow, model, m, naive_first);
+    const double second = time_one_solve(flow, model, m, !naive_first);
+    timing.naive += naive_first ? first : second;
+    timing.fast += naive_first ? second : first;
+  }
+  timing.naive /= repeats;
+  timing.fast /= repeats;
+  return timing;
 }
 
 }  // namespace
@@ -55,9 +85,8 @@ int main() {
     const RequestSequence seq = generate_uniform_trace(config, rng);
     const Flow flow = flow_of_first_item(seq);
 
-    const int repeats = n <= 1000 ? 20 : 5;
-    const double naive = time_solver(flow, model, m, false, repeats);
-    const double fast = time_solver(flow, model, m, true, repeats);
+    const int repeats = n <= 1000 ? 20 : 6;
+    const auto [naive, fast] = time_both(flow, model, m, repeats);
     // The Section-V structures: per node an m-size snapshot of int32.
     const std::size_t index_bytes = (flow.size() + 1) * m * sizeof(std::int32_t);
     ns.push_back(static_cast<double>(n));
@@ -91,11 +120,9 @@ int main() {
     config.rounds = 4;
     const RequestSequence seq = generate_adversarial_window_trace(config);
     const Flow flow = flow_of_first_item(seq);
-    const int repeats = n <= 2048 ? 10 : 3;
-    const double naive = time_solver(flow, model, config.server_count, false,
-                                     repeats);
-    const double fast = time_solver(flow, model, config.server_count, true,
-                                    repeats);
+    const int repeats = n <= 2048 ? 10 : 4;
+    const auto [naive, fast] =
+        time_both(flow, model, config.server_count, repeats);
     adv_ns.push_back(static_cast<double>(n));
     adv_naive.push_back(naive);
     adversarial.add_row({std::to_string(n), format_fixed(naive * 1e3, 3),

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -25,7 +24,7 @@ class ThreadPool;
 /// SolverConfig stays an aggregate (designated/member initialization keeps
 /// working) but also offers a fluent builder surface:
 ///
-///   auto config = SolverConfig{}.threads(8).telemetry(true).seed(42);
+///   auto config = SolverConfig{}.threads(8).telemetry(true);
 ///
 /// plus a string-keyed setter for front ends
 /// (`config.with("theta", "0.4")`).  Both validate eagerly: a bad value or
@@ -58,9 +57,6 @@ struct SolverConfig {
   /// Record telemetry (metrics delta + trace spans) for this run even when
   /// the process-wide obs switch is off.  Purely observational.
   bool telemetry_enabled = false;
-  /// Seed for solvers with randomized tie-breaks.  Every built-in solver is
-  /// deterministic, so today this only pins future stochastic policies.
-  std::uint64_t rng_seed = 0;
 
   // Fluent builder surface (aggregates may have member functions).
   SolverConfig& threads(std::size_t n) noexcept {
@@ -71,24 +67,12 @@ struct SolverConfig {
     telemetry_enabled = on;
     return *this;
   }
-  SolverConfig& seed(std::uint64_t value) noexcept {
-    rng_seed = value;
-    return *this;
-  }
-  /// Toggle the branch-light SIMD DP kernels (solver/kernels.hpp).  On by
-  /// default; off runs the scalar reference loops.  Results are
-  /// bit-identical either way — the switch exists for cross-checking and
-  /// micro-benchmark baselines.
-  SolverConfig& kernels(bool on) noexcept {
-    dp.use_kernels = on;
-    return *this;
-  }
 
   /// Sets one field by name from a string value ("theta", "max_group_size",
   /// "window", "repack_interval", "hold_factor", "keep_schedules",
-  /// "threads", "telemetry", "seed", "kernels").  Throws InvalidArgument
-  /// immediately on an unknown field (the message lists the valid ones), an
-  /// unparsable value, or a value outside the field's range.
+  /// "threads", "telemetry").  Throws InvalidArgument immediately on an
+  /// unknown field (the message lists the valid ones), an unparsable value,
+  /// or a value outside the field's range.
   SolverConfig& with(std::string_view field, std::string_view value);
 
   /// Range-checks every field (θ ∈ [0, 1], hold_factor > 0, window ≥ 1,

@@ -14,7 +14,7 @@ namespace {
 
 constexpr const char* kValidFields =
     "theta, max_group_size, window, repack_interval, hold_factor, "
-    "keep_schedules, threads, telemetry, seed, kernels";
+    "keep_schedules, threads, telemetry";
 
 bool parse_flag(std::string_view field, std::string_view value) {
   if (value == "true" || value == "1" || value == "on") return true;
@@ -44,10 +44,6 @@ SolverConfig& SolverConfig::with(std::string_view field,
     thread_count = parse_size(value);
   } else if (field == "telemetry") {
     telemetry_enabled = parse_flag(field, value);
-  } else if (field == "seed") {
-    rng_seed = parse_size(value);
-  } else if (field == "kernels") {
-    dp.use_kernels = parse_flag(field, value);
   } else {
     throw InvalidArgument("SolverConfig: unknown field '" +
                           std::string(field) + "' (valid: " + kValidFields +

@@ -1,4 +1,4 @@
-#include "solver/bruteforce.hpp"
+#include "reference/bruteforce.hpp"
 
 #include <algorithm>
 

@@ -1,4 +1,4 @@
-#include "solver/cut_operation.hpp"
+#include "reference/cut_operation.hpp"
 
 #include <algorithm>
 

@@ -1,4 +1,4 @@
-#include "solver/lower_bound.hpp"
+#include "reference/lower_bound.hpp"
 
 #include "core/flow.hpp"
 

@@ -1,4 +1,4 @@
-#include "solver/subset_exact.hpp"
+#include "reference/subset_exact.hpp"
 
 #include <algorithm>
 

@@ -1,6 +1,6 @@
 // A second, structurally independent exact solver for the single-flow
 // offline problem, used to cross-validate the DP on instances far larger
-// than the parent-assignment enumeration (solver/bruteforce.hpp) can reach.
+// than the parent-assignment enumeration (reference/bruteforce.hpp) can reach.
 //
 // Formulation.  In a standard-form schedule every service point is served
 // either LOCALLY (a cache line on its own server extending back to its

@@ -1,4 +1,4 @@
-#include "solver/temporal_correlation.hpp"
+#include "reference/temporal_correlation.hpp"
 
 #include <algorithm>
 

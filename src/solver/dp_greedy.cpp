@@ -27,62 +27,15 @@ const obs::Counter g_singleton_services =
 /// already paid for them) but do update the recency state the greedy
 /// options consult, because serving a request leaves a copy behind.
 ///
-/// The reference is one fused stateful loop that probes each row for the
-/// partner; the kernel variant below splits it into SoA column passes and
-/// finds the package events by merging the two items' index lists.  Both
-/// orders of accumulation are the event order, so the two are bit-identical
-/// (cross-checked in tests/kernel_equivalence_test.cpp).
-void serve_singletons_scalar(const RequestSequence& sequence,
-                             const CostModel& model, ItemId item,
-                             ItemId partner, PackageReport& report,
-                             SolverWorkspace& ws) {
-  // Recency state over this item's event history (workspace scratch).
-  Time prev_time = 0.0;
-  ws.server_times.assign(sequence.server_count(), -1.0);
-  std::vector<Time>& last_on_server = ws.server_times;
-  last_on_server[kOriginServer] = 0.0;  // the origin copy
-
-  for (const std::size_t index : sequence.indices_for_item(item)) {
-    const Request& r = sequence[index];
-    const bool is_package_request = r.contains(partner);
-    if (!is_package_request) {
-      Cost cache_option = kInfiniteCost;
-      if (last_on_server[r.server] >= 0.0) {
-        cache_option = model.mu * (r.time - last_on_server[r.server]);
-      }
-      const Cost transfer_option = model.mu * (r.time - prev_time) + model.lambda;
-      const Cost package_option = model.package_fetch_cost();
-
-      SingletonService service;
-      service.request_index = index;
-      service.item = item;
-      if (cache_option <= transfer_option && cache_option <= package_option) {
-        service.choice = ServeChoice::kCacheSameServer;
-        service.cost = cache_option;
-      } else if (transfer_option <= package_option) {
-        service.choice = ServeChoice::kTransferFromPrev;
-        service.cost = transfer_option;
-      } else {
-        service.choice = ServeChoice::kPackageFetch;
-        service.cost = package_option;
-      }
-      report.singleton_cost += service.cost;
-      report.services.push_back(service);
-    }
-    prev_time = r.time;
-    last_on_server[r.server] = r.time;
-  }
-}
-
-/// Kernelized serve_singletons: three column passes over the item's events.
-/// Pass 1 (scalar, stateful) gathers each event's recency inputs; pass 2 is
-/// the branch-light cost/choice math over flat columns; pass 3 accumulates
-/// serially in event order, so the report is bit-identical to the fused
-/// reference above.
-void serve_singletons_kernel(const RequestSequence& sequence,
-                             const CostModel& model, ItemId item,
-                             ItemId partner, PackageReport& report,
-                             SolverWorkspace& ws) {
+/// Three column passes over the item's events: pass 1 (scalar, stateful)
+/// gathers each event's recency inputs and finds the package events by
+/// merging the two items' index lists; pass 2 is the branch-light
+/// cost/choice math over flat columns; pass 3 accumulates serially in event
+/// order, so the report is bit-identical to the fused one-loop form kept as
+/// the test-only oracle reference::solve_pair_package_reference.
+void serve_singletons(const RequestSequence& sequence, const CostModel& model,
+                      ItemId item, ItemId partner, PackageReport& report,
+                      SolverWorkspace& ws) {
   const std::span<const std::size_t> events = sequence.indices_for_item(item);
   const std::size_t e_count = events.size();
   SingletonScratch& sc = ws.singles;
@@ -155,16 +108,6 @@ void serve_singletons_kernel(const RequestSequence& sequence,
   }
 }
 
-void serve_singletons(const RequestSequence& sequence, const CostModel& model,
-                      ItemId item, ItemId partner, PackageReport& report,
-                      const OptimalOfflineOptions& dp, SolverWorkspace& ws) {
-  if (dp.use_kernels) {
-    serve_singletons_kernel(sequence, model, item, partner, report, ws);
-  } else {
-    serve_singletons_scalar(sequence, model, item, partner, report, ws);
-  }
-}
-
 PackageReport solve_pair_package_ws(const RequestSequence& sequence,
                                     const CostModel& model, ItemPair pair,
                                     const OptimalOfflineOptions& dp,
@@ -182,8 +125,8 @@ PackageReport solve_pair_package_ws(const RequestSequence& sequence,
   report.package_cost = package.cost;  // already 2α-discounted
   report.package_schedule = std::move(package.schedule);
 
-  serve_singletons(sequence, model, pair.a, pair.b, report, dp, ws);
-  serve_singletons(sequence, model, pair.b, pair.a, report, dp, ws);
+  serve_singletons(sequence, model, pair.a, pair.b, report, ws);
+  serve_singletons(sequence, model, pair.b, pair.a, report, ws);
   g_singleton_services.add(report.services.size());
   return report;
 }

@@ -1,10 +1,11 @@
 #include "solver/optimal_offline.hpp"
 
-#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "solver/dp_backtrack.hpp"
 #include "solver/kernels.hpp"
 #include "solver/workspace.hpp"
 #include "util/error.hpp"
@@ -68,163 +69,107 @@ SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
   suffix.clear();
   suffix.push(0, 0.0);
 
-  if (options.use_kernels) {
-    // Kernel path (solver/kernels.hpp): gather the same-server predecessor
-    // and link columns once, run the w/W pass as flat column kernels, and
-    // answer D(i)'s window minimum with a blocked scan over the dense
-    // v_k = C(k) − W(k) column — SuffixMin stays as the wide-window
-    // backstop.  Bit-identical to the reference branch below.
-    const Time* t = index.times().data();
-    const ServerId* s = index.servers().data();
-    ws.prev.resize(n);
-    std::int32_t* prev = ws.prev.data();
-    prev[0] = RequestIndex::kNone;
-    for (std::size_t j = 1; j < n; ++j) prev[j] = index.prev_same_server(j);
-    ws.link.resize(n);
-    kernels::link_costs(t, prev, mu, n, ws.link.data());
-    kernels::w_and_prefix(ws.link.data(), lambda, n, w.data(),
-                          w_prefix.data());
-    ws.v.resize(n);
-    double* v = ws.v.data();
-    v[0] = 0.0;
+  // Gather the same-server predecessor and link columns once, run the w/W
+  // pass as flat column kernels (solver/kernels.hpp), and answer D(i)'s
+  // window minimum with a blocked scan over the dense v_k = C(k) − W(k)
+  // column — SuffixMin stays as the wide-window backstop.
+  const Time* t = index.times().data();
+  const ServerId* s = index.servers().data();
+  ws.prev.resize(n);
+  std::int32_t* prev = ws.prev.data();
+  prev[0] = RequestIndex::kNone;
+  for (std::size_t j = 1; j < n; ++j) prev[j] = index.prev_same_server(j);
+  ws.link.resize(n);
+  kernels::link_costs(t, prev, mu, n, ws.link.data());
+  kernels::w_and_prefix(ws.link.data(), lambda, n, w.data(), w_prefix.data());
+  ws.v.resize(n);
+  double* v = ws.v.data();
+  v[0] = 0.0;
 
-    for (std::size_t i = 1; i < n; ++i) {
-      const Cost tr =
-          c[i - 1] + mu * (t[i] - t[i - 1]) + (s[i] != s[i - 1] ? lambda : 0.0);
-      Cost line = kInfiniteCost;
-      std::int32_t line_k = -1;
-      const std::int32_t p = prev[i];
-      if (p >= 0) {
-        const Cost base = mu * (t[i] - t[static_cast<std::size_t>(p)]) +
-                          w_prefix[i - 1];
-        if (i - static_cast<std::size_t>(p) <= kernels::kWindowScanThreshold) {
-          const auto [arg, best] =
-              kernels::window_min(v, static_cast<std::size_t>(p), i);
+  for (std::size_t i = 1; i < n; ++i) {
+    // Tr(i): chain through the previous service point.
+    const Cost tr =
+        c[i - 1] + mu * (t[i] - t[i - 1]) + (s[i] != s[i - 1] ? lambda : 0.0);
+    // D(i): cache line on s_i from the previous same-server visit p(i);
+    // every node between the split k and i is served for w_j.
+    Cost line = kInfiniteCost;
+    std::int32_t line_k = -1;
+    const std::int32_t p = prev[i];
+    if (p >= 0) {
+      const Cost base =
+          mu * (t[i] - t[static_cast<std::size_t>(p)]) + w_prefix[i - 1];
+      if (i - static_cast<std::size_t>(p) <= kernels::kWindowScanThreshold) {
+        const auto [arg, best] =
+            kernels::window_min(v, static_cast<std::size_t>(p), i);
+        line = base + best;
+        line_k = arg;
+      } else {
+        const auto [arg, best] = suffix.query(p);
+        if (best < kInfiniteCost) {
           line = base + best;
           line_k = arg;
-        } else {
-          const auto [arg, best] = suffix.query(p);
-          if (best < kInfiniteCost) {
-            line = base + best;
-            line_k = arg;
-          }
         }
       }
-      if (line < tr) {
-        c[i] = line;
-        choice[i] = DpChoice{true, line_k};
-      } else {
-        c[i] = tr;
-        choice[i] = DpChoice{false, static_cast<std::int32_t>(i) - 1};
-      }
-      v[i] = c[i] - w_prefix[i];
-      suffix.push(static_cast<std::int32_t>(i), v[i]);
     }
-  } else {
-    // Reference path: the literal recurrences, kept as the bit-exact oracle
-    // the kernels are cross-checked against.
-    for (std::size_t j = 1; j < n; ++j) {
-      Cost local_link = kInfiniteCost;
-      const std::int32_t pj = index.prev_same_server(j);
-      if (pj >= 0) {
-        local_link = mu * (index.time_of(j) -
-                           index.time_of(static_cast<std::size_t>(pj)));
-      }
-      w[j] = std::min(lambda, local_link);
-      w_prefix[j] = w_prefix[j - 1] + w[j];
+    if (line < tr) {
+      c[i] = line;
+      choice[i] = DpChoice{true, line_k};
+    } else {
+      c[i] = tr;
+      choice[i] = DpChoice{false, static_cast<std::int32_t>(i) - 1};
     }
-
-    for (std::size_t i = 1; i < n; ++i) {
-      const Time t_i = index.time_of(i);
-      const Time t_prev = index.time_of(i - 1);
-      const ServerId s_i = index.server_of(i);
-      const ServerId s_prev = index.server_of(i - 1);
-
-      // Tr(i): chain through the previous service point.
-      const Cost tr =
-          c[i - 1] + mu * (t_i - t_prev) + (s_i != s_prev ? lambda : 0.0);
-
-      // D(i): cache line on s_i from the previous same-server visit p(i);
-      // every node between the split k and i is served for w_j.
-      Cost line = kInfiniteCost;
-      std::int32_t line_k = -1;
-      const std::int32_t p = index.prev_same_server(i);
-      if (p >= 0) {
-        const Time t_p = index.time_of(static_cast<std::size_t>(p));
-        const Cost base = mu * (t_i - t_p) + w_prefix[i - 1];
-        if (options.fast_range_min) {
-          const auto [arg, best] = suffix.query(p);
-          if (best < kInfiniteCost) {
-            line = base + best;
-            line_k = arg;
-          }
-        } else {
-          for (std::int32_t k = p; k < static_cast<std::int32_t>(i); ++k) {
-            const Cost candidate =
-                base + c[static_cast<std::size_t>(k)] -
-                w_prefix[static_cast<std::size_t>(k)];
-            if (candidate < line) {
-              line = candidate;
-              line_k = k;
-            }
-          }
-        }
-      }
-
-      if (line < tr) {
-        c[i] = line;
-        choice[i] = DpChoice{true, line_k};
-      } else {
-        c[i] = tr;
-        choice[i] = DpChoice{false, static_cast<std::int32_t>(i) - 1};
-      }
-      suffix.push(static_cast<std::int32_t>(i), c[i] - w_prefix[i]);
-    }
+    v[i] = c[i] - w_prefix[i];
+    suffix.push(static_cast<std::int32_t>(i), v[i]);
   }
 
   result.raw_cost = c[n - 1];
   result.cost = model.flow_multiplier(flow.group_size) * result.raw_cost;
-
   if (options.build_schedule) {
-    // Backtrack from the last node; each step explains how node i and the
-    // nodes between the predecessor state and i are physically served.
-    std::size_t i = n - 1;
-    while (i > 0) {
-      const DpChoice& ch = choice[i];
-      const Time t_i = index.time_of(i);
-      const ServerId s_i = index.server_of(i);
-      if (ch.via_line) {
-        const auto p = static_cast<std::size_t>(index.prev_same_server(i));
-        result.schedule.add_segment(s_i, index.time_of(p), t_i);
-        const auto k = static_cast<std::size_t>(ch.split_k);
-        // Intermediates: local cache link when that is what w_j priced,
-        // otherwise a side transfer off the line.
-        for (std::size_t j = k + 1; j < i; ++j) {
-          const std::int32_t pj = index.prev_same_server(j);
-          const bool local_chosen =
-              pj >= 0 &&
-              mu * (index.time_of(j) -
-                    index.time_of(static_cast<std::size_t>(pj))) < lambda;
-          if (local_chosen) {
-            result.schedule.add_segment(
-                index.server_of(j),
-                index.time_of(static_cast<std::size_t>(pj)),
-                index.time_of(j));
-          } else {
-            result.schedule.add_transfer(s_i, index.server_of(j),
-                                         index.time_of(j));
-          }
-        }
-        i = k;
-      } else {
-        const ServerId s_prev = index.server_of(i - 1);
-        result.schedule.add_segment(s_prev, index.time_of(i - 1), t_i);
-        if (s_prev != s_i) result.schedule.add_transfer(s_prev, s_i, t_i);
-        i = i - 1;
-      }
-    }
+    backtrack_dp_schedule(index, choice, model, result.schedule);
   }
   return result;
+}
+
+void backtrack_dp_schedule(const RequestIndex& index,
+                           std::span<const DpChoice> choice,
+                           const CostModel& model, Schedule& schedule) {
+  // Each step explains how node i and the nodes between the predecessor
+  // state and i are physically served.
+  const double mu = model.mu;
+  const double lambda = model.lambda;
+  std::size_t i = index.node_count() - 1;
+  while (i > 0) {
+    const DpChoice& ch = choice[i];
+    const Time t_i = index.time_of(i);
+    const ServerId s_i = index.server_of(i);
+    if (ch.via_line) {
+      const auto p = static_cast<std::size_t>(index.prev_same_server(i));
+      schedule.add_segment(s_i, index.time_of(p), t_i);
+      const auto k = static_cast<std::size_t>(ch.split_k);
+      // Intermediates: local cache link when that is what w_j priced,
+      // otherwise a side transfer off the line.
+      for (std::size_t j = k + 1; j < i; ++j) {
+        const std::int32_t pj = index.prev_same_server(j);
+        const bool local_chosen =
+            pj >= 0 &&
+            mu * (index.time_of(j) -
+                  index.time_of(static_cast<std::size_t>(pj))) < lambda;
+        if (local_chosen) {
+          schedule.add_segment(index.server_of(j),
+                               index.time_of(static_cast<std::size_t>(pj)),
+                               index.time_of(j));
+        } else {
+          schedule.add_transfer(s_i, index.server_of(j), index.time_of(j));
+        }
+      }
+      i = k;
+    } else {
+      const ServerId s_prev = index.server_of(i - 1);
+      schedule.add_segment(s_prev, index.time_of(i - 1), t_i);
+      if (s_prev != s_i) schedule.add_transfer(s_prev, s_i, t_i);
+      i = i - 1;
+    }
+  }
 }
 
 }  // namespace dpg

@@ -39,30 +39,18 @@ namespace dpg {
 struct SolverWorkspace;
 
 struct OptimalOfflineOptions {
-  /// Use the monotonic-stack suffix-min structure for the inner minimum of
-  /// D(i) (O(n log n) overall) instead of the literal O(n) scan per node
-  /// (O(n²) overall, the paper's Section-V bound). Results are identical;
-  /// tests cross-check both paths.  Only consulted when `use_kernels` is
-  /// off — the kernel path embeds the suffix-min as its wide-window
-  /// backstop.
-  bool fast_range_min = true;
-
-  /// Run the DP through the branch-light SoA kernels (solver/kernels.hpp):
-  /// precomputed link column, vectorized w pass, blocked window-min with
-  /// the SuffixMin stack as the asymptotic backstop.  Bit-identical to the
-  /// scalar reference on every input (tests/kernel_equivalence_test.cpp);
-  /// off = the reference loops, kept as the cross-check oracle.
-  bool use_kernels = true;
-
   /// Reconstruct the schedule (backtracking). Costs are computed either way.
   bool build_schedule = true;
 };
 
 /// Solves one flow to optimality. `server_count` bounds the server ids in
 /// the flow; the flow starts at `origin` (server 0 by default) at time 0.
-/// Passing a `workspace` reuses its scratch buffers (solver/workspace.hpp)
-/// so repeated solves perform zero steady-state allocations; results are
-/// bit-identical with or without one.
+/// The recurrences run through the branch-light kernels of
+/// solver/kernels.hpp; the scalar loops they replaced live on as the
+/// test-only oracle reference::solve_optimal_offline_reference, which they
+/// match bit for bit.  Passing a `workspace` reuses its scratch buffers
+/// (solver/workspace.hpp) so repeated solves perform zero steady-state
+/// allocations; results are bit-identical with or without one.
 [[nodiscard]] SolveResult solve_optimal_offline(
     const Flow& flow, const CostModel& model, std::size_t server_count,
     const OptimalOfflineOptions& options = {},

@@ -614,7 +614,10 @@ void write_trace_dpt(const std::string& path,
 
   std::vector<unsigned char> header;
   header.reserve(align_up(h.header_bytes, kColumnAlignment));
-  header.insert(header.end(), kDptMagic, kDptMagic + sizeof kDptMagic);
+  // resize + memcpy rather than a range insert: GCC 12 flags the insert
+  // after reserve() as -Wstringop-overflow under -fsanitize=thread.
+  header.resize(sizeof kDptMagic);
+  std::memcpy(header.data(), kDptMagic, sizeof kDptMagic);
   put_u32(header, kEndianMarker);
   put_u32(header, h.version);
   put_u64(header, h.header_bytes);

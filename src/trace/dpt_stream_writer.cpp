@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <numeric>
 #include <utility>
@@ -191,7 +192,10 @@ void DptStreamWriter::finish() {
 
   std::vector<unsigned char> header;
   header.reserve(align_up(header_bytes, kColumnAlignment));
-  header.insert(header.end(), kDptMagic, kDptMagic + sizeof kDptMagic);
+  // resize + memcpy rather than a range insert: GCC 12 flags the insert
+  // after reserve() as -Wstringop-overflow under -fsanitize=thread.
+  header.resize(sizeof kDptMagic);
+  std::memcpy(header.data(), kDptMagic, sizeof kDptMagic);
   put_u32(header, kEndianMarker);
   put_u32(header, kDptVersion);
   put_u64(header, header_bytes);

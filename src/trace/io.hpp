@@ -42,12 +42,6 @@ struct TraceParseHints {
                                              const TraceParseHints& hints = {},
                                              std::string_view source = {});
 
-/// The pre-streaming CsvTable-based parser, kept as the independent
-/// cross-check oracle for tests and the bm_trace throughput baseline.
-[[nodiscard]] RequestSequence trace_from_csv_legacy(
-    const std::string& text, std::size_t min_server_count = 0,
-    std::size_t min_item_count = 0);
-
 /// File variants. Throw IoError on filesystem problems.  Writing streams
 /// row-by-row through a buffer; reading loads the file in one sized read
 /// and labels any parse/validation error with the path and byte offset.

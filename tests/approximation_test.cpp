@@ -10,7 +10,7 @@
 
 #include <tuple>
 
-#include "solver/bruteforce.hpp"
+#include "reference/bruteforce.hpp"
 #include "solver/dp_greedy.hpp"
 #include "solver/greedy.hpp"
 #include "solver/optimal_offline.hpp"

@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "util/error.hpp"
-#include "solver/bruteforce.hpp"
+#include "reference/bruteforce.hpp"
 #include "test_support.hpp"
 
 namespace dpg {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "engine/registry.hpp"
+#include "reference/csv_legacy.hpp"
 #include "trace/generators.hpp"
 #include "trace/io.hpp"
 #include "util/rng.hpp"

@@ -1,7 +1,7 @@
 // Tests for the Section IV-B cut operation — the machinery behind Eq. (7).
 #include <gtest/gtest.h>
 
-#include "solver/cut_operation.hpp"
+#include "reference/cut_operation.hpp"
 #include "solver/greedy.hpp"
 #include "solver/optimal_offline.hpp"
 #include "test_support.hpp"

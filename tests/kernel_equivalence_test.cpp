@@ -1,17 +1,31 @@
-// End-to-end kernel and format equivalence: every registry solver must
-// produce bit-identical RunReports (a) with the SIMD kernels on vs. off,
-// at every thread count, and (b) from a trace loaded via CSV vs. the
-// binary .dpt mmap path.  Both switches are pure plumbing — any drift in
-// a cost bit or a schedule endpoint is a bug, so everything is EXPECT_EQ
-// with no tolerance.  The test named "Big" runs a 200k-request trace and
-// is filtered out of the sanitizer CI legs like the other Big tests.
+// End-to-end oracle and format equivalence.
+//
+//   * Every plan of every DP-backed registry solver, at every thread count,
+//     is bit-identical to the scalar reference DP
+//     (reference::solve_optimal_offline_reference, kSuffixMin) on its flow,
+//     in cost and in schedule.
+//   * Every pair of dp_greedy is bit-identical to the fused reference
+//     (reference::solve_pair_package_reference), and the references add up
+//     to the solve's total bit for bit.
+//   * A trace loaded via CSV and via the binary .dpt mmap path gives every
+//     solver identical reports.
+//
+// Any drift in a cost bit or a schedule endpoint is a bug, so everything is
+// EXPECT_EQ with no tolerance.  The tests named "Big" run a 200k-request
+// trace and are filtered out of the sanitizer CI legs like the other Big
+// tests.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "engine/registry.hpp"
+#include "parallel/thread_pool.hpp"
+#include "reference/optimal_offline.hpp"
+#include "solver/dp_greedy.hpp"
+#include "solver/optimal_offline.hpp"
 #include "test_support.hpp"
 #include "trace/dpt.hpp"
 #include "trace/generators.hpp"
@@ -41,6 +55,34 @@ RequestSequence big_trace_200k() {
   return generate_zipf_trace(config, rng);
 }
 
+/// Solvers whose every plan is one optimal-offline DP solve of its flow.
+const std::set<std::string> kDpPlanSolvers = {
+    "dp_greedy", "optimal_baseline", "package_served", "group_dp_greedy"};
+/// Solvers that run no offline DP: their plans come from their own per-item
+/// policy (greedy, chain, break-even), or they emit none (online_dp_greedy).
+const std::set<std::string> kPolicySolvers = {
+    "greedy", "chain", "online_break_even", "online_dp_greedy"};
+/// DP-backed solvers whose total is the plan costs summed in plan order.
+const std::set<std::string> kTotalIsSumOfPlans = {"optimal_baseline",
+                                                  "package_served"};
+
+/// Bitwise equality of two schedules: every segment and transfer endpoint.
+void expect_schedules_identical(const Schedule& want, const Schedule& got,
+                                const std::string& context) {
+  ASSERT_EQ(want.segments().size(), got.segments().size()) << context;
+  for (std::size_t s = 0; s < want.segments().size(); ++s) {
+    EXPECT_EQ(want.segments()[s].server, got.segments()[s].server) << context;
+    EXPECT_EQ(want.segments()[s].begin, got.segments()[s].begin) << context;
+    EXPECT_EQ(want.segments()[s].end, got.segments()[s].end) << context;
+  }
+  ASSERT_EQ(want.transfers().size(), got.transfers().size()) << context;
+  for (std::size_t t = 0; t < want.transfers().size(); ++t) {
+    EXPECT_EQ(want.transfers()[t].from, got.transfers()[t].from) << context;
+    EXPECT_EQ(want.transfers()[t].to, got.transfers()[t].to) << context;
+    EXPECT_EQ(want.transfers()[t].time, got.transfers()[t].time) << context;
+  }
+}
+
 /// Bitwise equality of two reports: every cost EXPECT_EQ (no tolerance),
 /// every decision count, and every plan's label, flow and schedule geometry.
 void expect_reports_identical(const RunReport& expected,
@@ -65,71 +107,124 @@ void expect_reports_identical(const RunReport& expected,
     const std::string plan_context = context + ", plan " + want.label;
     EXPECT_EQ(want.label, got.label) << plan_context;
     EXPECT_EQ(want.flow.size(), got.flow.size()) << plan_context;
-    ASSERT_EQ(want.schedule.segments().size(), got.schedule.segments().size())
-        << plan_context;
-    for (std::size_t s = 0; s < want.schedule.segments().size(); ++s) {
-      EXPECT_EQ(want.schedule.segments()[s].server,
-                got.schedule.segments()[s].server) << plan_context;
-      EXPECT_EQ(want.schedule.segments()[s].begin,
-                got.schedule.segments()[s].begin) << plan_context;
-      EXPECT_EQ(want.schedule.segments()[s].end,
-                got.schedule.segments()[s].end) << plan_context;
-    }
-    ASSERT_EQ(want.schedule.transfers().size(),
-              got.schedule.transfers().size()) << plan_context;
-    for (std::size_t t = 0; t < want.schedule.transfers().size(); ++t) {
-      EXPECT_EQ(want.schedule.transfers()[t].from,
-                got.schedule.transfers()[t].from) << plan_context;
-      EXPECT_EQ(want.schedule.transfers()[t].to,
-                got.schedule.transfers()[t].to) << plan_context;
-      EXPECT_EQ(want.schedule.transfers()[t].time,
-                got.schedule.transfers()[t].time) << plan_context;
+    expect_schedules_identical(want.schedule, got.schedule, plan_context);
+  }
+}
+
+/// Runs every DP-backed registry solver on `trace` at each thread count and
+/// demands that each plan equal the reference DP on the plan's flow: the
+/// schedule bit for bit, the production cost of that flow bit for bit, and
+/// (where the total is a plain sum of plans) the report's total.
+void expect_plans_match_reference(const RequestSequence& trace,
+                                  const std::string& trace_name) {
+  const CostModel model = testing::running_example_model();
+  const std::size_t servers = trace.server_count();
+  for (const std::string& name : builtin_registry().names()) {
+    ASSERT_EQ(kDpPlanSolvers.count(name) + kPolicySolvers.count(name), 1u)
+        << "classify the registry solver " << name;
+    if (kDpPlanSolvers.count(name) == 0) continue;
+    for (const std::size_t threads : kThreadCounts) {
+      const std::string context = trace_name + ", solver " + name +
+                                  ", threads " + std::to_string(threads);
+      const RunReport report = builtin_registry().run(
+          name, trace, model, SolverConfig{}.threads(threads));
+      ASSERT_FALSE(report.plans.empty()) << context;
+      Cost plan_total = 0.0;
+      for (const FlowPlan& plan : report.plans) {
+        const std::string plan_context = context + ", plan " + plan.label;
+        const SolveResult want = reference::solve_optimal_offline_reference(
+            plan.flow, model, servers, reference::RangeMin::kSuffixMin);
+        const SolveResult got =
+            solve_optimal_offline(plan.flow, model, servers);
+        EXPECT_EQ(want.cost, got.cost) << plan_context;
+        EXPECT_EQ(want.raw_cost, got.raw_cost) << plan_context;
+        expect_schedules_identical(want.schedule, plan.schedule, plan_context);
+        plan_total += want.cost;
+      }
+      if (kTotalIsSumOfPlans.count(name) != 0) {
+        EXPECT_EQ(plan_total, report.total_cost) << context;
+      }
     }
   }
 }
 
-/// Runs every registry solver on `trace` with kernels on and off, at each
-/// thread count, and demands bit-identical reports.
-void expect_kernels_transparent(const RequestSequence& trace,
-                                const std::string& trace_name) {
+/// dp_greedy serial and on a 4-worker pool: every pair equals the fused
+/// reference pair solve, every unpacked item the reference DP, and the
+/// references summed in the solve's order give its total bit for bit.
+void expect_dp_greedy_matches_reference(const RequestSequence& trace,
+                                        const std::string& trace_name) {
   const CostModel model = testing::running_example_model();
-  for (const std::string& name : builtin_registry().names()) {
-    for (const std::size_t threads : kThreadCounts) {
-      SolverConfig config;
-      config.threads(threads);
-      const RunReport scalar = builtin_registry().run(
-          name, trace, model, SolverConfig(config).kernels(false));
-      const RunReport kernel = builtin_registry().run(
-          name, trace, model, SolverConfig(config).kernels(true));
-      expect_reports_identical(
-          scalar, kernel,
-          trace_name + ", solver " + name + ", threads " +
-              std::to_string(threads));
+  ThreadPool pool(4);
+  for (ThreadPool* const p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const std::string context =
+        trace_name + (p == nullptr ? ", serial" : ", pool of 4");
+    DpGreedyOptions options;
+    options.pool = p;
+    const DpGreedyResult result = solve_dp_greedy(trace, model, options);
+    ASSERT_FALSE(result.packages.empty()) << context;
+    Cost total = 0.0;
+    for (const PackageReport& got : result.packages) {
+      const std::string pair_context = context + ", pair {" +
+                                       std::to_string(got.pair.a) + "," +
+                                       std::to_string(got.pair.b) + "}";
+      const PackageReport want =
+          reference::solve_pair_package_reference(trace, model, got.pair);
+      EXPECT_EQ(want.package_cost, got.package_cost) << pair_context;
+      EXPECT_EQ(want.singleton_cost, got.singleton_cost) << pair_context;
+      EXPECT_EQ(want.co_request_count, got.co_request_count) << pair_context;
+      EXPECT_EQ(want.total_accesses, got.total_accesses) << pair_context;
+      expect_schedules_identical(want.package_schedule, got.package_schedule,
+                                 pair_context);
+      ASSERT_EQ(want.services.size(), got.services.size()) << pair_context;
+      for (std::size_t i = 0; i < want.services.size(); ++i) {
+        EXPECT_EQ(want.services[i].request_index,
+                  got.services[i].request_index) << pair_context;
+        EXPECT_EQ(want.services[i].item, got.services[i].item)
+            << pair_context;
+        EXPECT_EQ(want.services[i].choice, got.services[i].choice)
+            << pair_context;
+        EXPECT_EQ(want.services[i].cost, got.services[i].cost)
+            << pair_context;
+      }
+      total += want.total_cost();
     }
+    for (const SingleItemReport& got : result.singles) {
+      const std::string item_context =
+          context + ", item " + std::to_string(got.item);
+      const SolveResult want = reference::solve_optimal_offline_reference(
+          make_item_flow(trace, got.item), model, trace.server_count());
+      EXPECT_EQ(want.cost, got.cost) << item_context;
+      expect_schedules_identical(want.schedule, got.schedule, item_context);
+      total += want.cost;
+    }
+    EXPECT_EQ(total, result.total_cost) << context;
   }
 }
 
 TEST(KernelEquivalence, RunningExampleAllSolvers) {
-  expect_kernels_transparent(testing::running_example_sequence(),
-                             "running example");
+  expect_plans_match_reference(testing::running_example_sequence(),
+                               "running example");
 }
 
 TEST(KernelEquivalence, Zipf2kAllSolvers) {
-  expect_kernels_transparent(zipf_trace_2k(), "zipf 2k");
+  expect_plans_match_reference(zipf_trace_2k(), "zipf 2k");
 }
 
 TEST(KernelEquivalence, BigZipf200kAllSolvers) {
-  expect_kernels_transparent(big_trace_200k(), "zipf 200k");
+  expect_plans_match_reference(big_trace_200k(), "zipf 200k");
 }
 
-TEST(KernelEquivalence, ConfigStringKeyReachesTheSwitch) {
-  SolverConfig config;
-  EXPECT_TRUE(config.dp.use_kernels);
-  config.with("kernels", "off");
-  EXPECT_FALSE(config.dp.use_kernels);
-  config.with("kernels", "true");
-  EXPECT_TRUE(config.dp.use_kernels);
-  EXPECT_THROW(config.with("kernels", "maybe"), InvalidArgument);
+TEST(KernelEquivalence, RunningExampleDpGreedyPairs) {
+  expect_dp_greedy_matches_reference(testing::running_example_sequence(),
+                                     "running example");
+}
+
+TEST(KernelEquivalence, Zipf2kDpGreedyPairs) {
+  expect_dp_greedy_matches_reference(zipf_trace_2k(), "zipf 2k");
+}
+
+TEST(KernelEquivalence, BigZipf200kDpGreedyPairs) {
+  expect_dp_greedy_matches_reference(big_trace_200k(), "zipf 200k");
 }
 
 TEST(FormatEquivalence, DptAndCsvProduceIdenticalReports) {

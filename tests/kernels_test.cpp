@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "reference/optimal_offline.hpp"
 #include "solver/kernels.hpp"
 #include "solver/optimal_offline.hpp"
 #include "solver/workspace.hpp"
@@ -173,19 +174,14 @@ TEST(Kernels, JaccardRowMatchesPairwiseFormula) {
 }
 
 // ---------------------------------------------------------------------------
-// The kernels inside the DP: solve_optimal_offline with use_kernels on and
-// off must agree on every bit of cost and schedule.
+// The kernels inside the DP: solve_optimal_offline must agree with the
+// scalar reference DP (kSuffixMin) on every bit of cost and schedule.
 
 void expect_same_solve(const Flow& flow, const CostModel& model,
                        std::size_t server_count, const std::string& context) {
-  OptimalOfflineOptions with_kernels;
-  with_kernels.use_kernels = true;
-  OptimalOfflineOptions without;
-  without.use_kernels = false;
-  const SolveResult a =
-      solve_optimal_offline(flow, model, server_count, with_kernels);
-  const SolveResult b =
-      solve_optimal_offline(flow, model, server_count, without);
+  const SolveResult a = solve_optimal_offline(flow, model, server_count);
+  const SolveResult b = reference::solve_optimal_offline_reference(
+      flow, model, server_count, reference::RangeMin::kSuffixMin);
   ASSERT_EQ(a.cost, b.cost) << context;
   ASSERT_EQ(a.raw_cost, b.raw_cost) << context;
   ASSERT_EQ(a.schedule.segments().size(), b.schedule.segments().size())
@@ -225,7 +221,7 @@ TEST(KernelDp, FuzzedFlowsAreBitIdentical) {
 TEST(KernelDp, WideWindowsCrossTheSuffixMinBackstop) {
   // Few servers and many points per server stretch the D(i) windows past
   // kWindowScanThreshold, forcing the SuffixMin fallback inside the kernel
-  // path; both sides of the threshold must agree with the scalar DP.
+  // path; both sides of the threshold must agree with the reference DP.
   Rng rng(106);
   CostModel model = testing::running_example_model();
   const Flow flow =

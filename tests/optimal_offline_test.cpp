@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "util/error.hpp"
+#include "reference/optimal_offline.hpp"
 #include "solver/optimal_offline.hpp"
 #include "solver/workspace.hpp"
 #include "test_support.hpp"
@@ -70,12 +71,11 @@ TEST(OptimalOffline, FastAndNaiveRangeMinAgree) {
   for (int trial = 0; trial < 200; ++trial) {
     const Flow flow = testing::random_flow(rng, 40, 5);
     CostModel model{1.0, 0.25 + 0.25 * static_cast<double>(trial % 16), 0.8};
-    OptimalOfflineOptions fast;
-    fast.fast_range_min = true;
-    OptimalOfflineOptions naive;
-    naive.fast_range_min = false;
-    const SolveResult a = solve_optimal_offline(flow, model, 5, fast);
-    const SolveResult b = solve_optimal_offline(flow, model, 5, naive);
+    // Production (window-min kernels) vs the paper's literal O(n) scan: the
+    // scan adds in a different order, so equal up to rounding.
+    const SolveResult a = solve_optimal_offline(flow, model, 5);
+    const SolveResult b = reference::solve_optimal_offline_reference(
+        flow, model, 5, reference::RangeMin::kLiteralScan);
     ASSERT_NEAR(a.raw_cost, b.raw_cost, 1e-9);
   }
 }
@@ -164,17 +164,18 @@ TEST(OptimalOffline, SharedWorkspaceMatchesFreshSolves) {
 }
 
 TEST(OptimalOffline, WorkspaceReuseCoversBothRangeMinStrategies) {
+  // A workspace reused across rounds keeps the production DP (window-min)
+  // on the literal-scan reference's costs.
   Rng rng(654);
   const CostModel model = unit_model();
-  OptimalOfflineOptions naive;
-  naive.fast_range_min = false;
   SolverWorkspace workspace;
   for (int round = 0; round < 5; ++round) {
     const Flow flow = testing::random_flow(rng, 80, 4);
     const Cost fast =
         solve_optimal_offline(flow, model, 4, {}, &workspace).raw_cost;
-    const Cost slow =
-        solve_optimal_offline(flow, model, 4, naive, &workspace).raw_cost;
+    const Cost slow = reference::solve_optimal_offline_reference(
+                          flow, model, 4, reference::RangeMin::kLiteralScan)
+                          .raw_cost;
     ASSERT_NEAR(fast, slow, kTol);
   }
 }

@@ -7,7 +7,7 @@
 
 #include <tuple>
 
-#include "solver/bruteforce.hpp"
+#include "reference/bruteforce.hpp"
 #include "solver/greedy.hpp"
 #include "solver/optimal_offline.hpp"
 #include "test_support.hpp"

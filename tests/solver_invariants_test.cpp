@@ -4,10 +4,11 @@
 
 #include <tuple>
 
+#include "reference/lower_bound.hpp"
+#include "reference/optimal_offline.hpp"
 #include "solver/baselines.hpp"
 #include "solver/dp_greedy.hpp"
 #include "solver/greedy.hpp"
-#include "solver/lower_bound.hpp"
 #include "solver/online.hpp"
 #include "solver/optimal_offline.hpp"
 #include "test_support.hpp"
@@ -126,8 +127,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0.3, 0.6, 0.9),
                        ::testing::Values(0.2, 0.7)));
 
-// The window-min structure and naive scan agree on the adversarial
-// quadratic-window workload too (not just random traces).
+// The production window-min DP and the paper's literal scan agree on the
+// adversarial quadratic-window workload too (not just random traces).
 TEST(SolverInvariants, AdversarialWindowAgreement) {
   // Local copy of the generator's pattern to avoid a dpg_trace dependency
   // in this binary: round-robin visits over m servers, r rounds.
@@ -143,11 +144,11 @@ TEST(SolverInvariants, AdversarialWindowAgreement) {
   const Flow flow = make_item_flow(seq, 0);
   for (const double lambda : {0.1, 1.0, 10.0, 100.0}) {
     const CostModel model{1.0, lambda, 0.8};
-    OptimalOfflineOptions fast, naive;
-    fast.fast_range_min = true;
-    naive.fast_range_min = false;
-    ASSERT_NEAR(solve_optimal_offline(flow, model, m, fast).raw_cost,
-                solve_optimal_offline(flow, model, m, naive).raw_cost, 1e-9);
+    ASSERT_NEAR(solve_optimal_offline(flow, model, m).raw_cost,
+                reference::solve_optimal_offline_reference(
+                    flow, model, m, reference::RangeMin::kLiteralScan)
+                    .raw_cost,
+                1e-9);
   }
 }
 

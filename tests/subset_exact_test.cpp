@@ -5,9 +5,9 @@
 
 #include <tuple>
 
-#include "solver/bruteforce.hpp"
+#include "reference/bruteforce.hpp"
+#include "reference/subset_exact.hpp"
 #include "solver/optimal_offline.hpp"
-#include "solver/subset_exact.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 

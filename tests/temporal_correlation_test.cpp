@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "solver/temporal_correlation.hpp"
+#include "reference/temporal_correlation.hpp"
 #include "test_support.hpp"
 #include "trace/generators.hpp"
 #include "util/error.hpp"

@@ -14,6 +14,7 @@
 
 #include "mobility/simulator.hpp"
 #include "obs/metrics.hpp"
+#include "reference/csv_legacy.hpp"
 #include "trace/generators.hpp"
 #include "trace/io.hpp"
 #include "util/error.hpp"

@@ -69,7 +69,6 @@ struct RunFlags {
   const std::size_t* group_size;
   const double* hold;
   const std::size_t* threads;
-  const bool* no_kernels;
   const bool* verbose;
   const std::string* metrics_out;
   const std::string* trace_out;
@@ -89,9 +88,6 @@ RunFlags add_run_flags(ArgParser& args) {
   flags.hold = args.add_double("hold", "break-even hold factor", 1.0);
   flags.threads =
       args.add_size("threads", "Phase-2 worker threads (0 = serial)", 0);
-  flags.no_kernels = args.add_flag(
-      "no-kernels", "run the scalar DP reference loops instead of the "
-      "SIMD kernels (results are bit-identical)");
   flags.verbose = args.add_flag("verbose", "log at DEBUG level", 'v');
   flags.metrics_out = args.add_string(
       "metrics-out", "write a metrics snapshot JSON here (enables telemetry)",
@@ -163,7 +159,6 @@ SolverConfig config_of(const RunFlags& flags) {
   config.repack_interval = *flags.repack;
   config.hold_factor = *flags.hold;
   config.threads(*flags.threads);
-  config.kernels(!*flags.no_kernels);
   return config;
 }
 
