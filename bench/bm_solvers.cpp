@@ -93,7 +93,8 @@ BENCHMARK(BM_RequestIndexBuild)
     ->Args({1024, 8})
     ->Args({1024, 64})
     ->Args({8192, 8})
-    ->Args({8192, 64});
+    ->Args({8192, 64})
+    ->Args({8192, 2048});
 
 void BM_CorrelationAnalysis(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -374,28 +375,26 @@ DPG_BENCH_NOINLINE void sweep_w_kernel(const Cost* link, double lambda,
 }
 
 int run_dp_kernel(const std::string& fragment_path) {
-  // Columns gathered exactly as the kernel path of solve_optimal_offline
-  // gathers them: a 65536-request single-item flow over 16 servers, so the
-  // same-server windows average n/m = 4096 nodes (the sweep below clamps to
-  // the widths the blocked scan actually serves).
+  // The index columns the kernel path of solve_optimal_offline reads: a
+  // 65536-request single-item flow over 16 servers, so the same-server
+  // windows average n/m = 4096 nodes (the sweep below clamps to the widths
+  // the blocked scan actually serves).
   const std::size_t n = 65536;
   const Flow flow = make_flow(n, 16, 9);
   const RequestIndex index(flow, 16);
   const std::size_t nodes = index.node_count();
   const Time* t = index.times().data();
-  std::vector<std::int32_t> prev(nodes);
-  prev[0] = RequestIndex::kNone;
-  for (std::size_t j = 1; j < nodes; ++j) prev[j] = index.prev_same_server(j);
+  const std::int32_t* prev = index.prev().data();
   const double mu = 1.0;
   const double lambda = 2.0;
 
   std::vector<Cost> link(nodes);
-  kernels::link_costs(t, prev.data(), mu, nodes, link.data());
+  kernels::link_costs(t, prev, mu, nodes, link.data());
   // link_costs has no SIMD variant (the prev[] gather needs AVX2+); its cost
   // is recorded for context but shared by both pipelines below.
   const double link_ms = kernel_best_ms([&] {
     for (int i = 0; i < 8; ++i) {
-      kernels::link_costs(t, prev.data(), mu, nodes, link.data());
+      kernels::link_costs(t, prev, mu, nodes, link.data());
     }
   });
 

@@ -2,9 +2,11 @@
 //
 // We time the literal Section-V recurrence (the reference DP's O(n) inner
 // scan per node, the paper's O(mn^2)) against the production window-min DP
-// across n, fit the time-vs-n power law, and account the index structure's
-// O(mn) footprint.  Both sides are warmed up before timing and alternate
+// across n, fit the time-vs-n power law, and account the index footprint:
+// the paper's pLast snapshots take (n+1)·m·4 bytes, O(mn); the production
+// RequestIndex keeps only p(i) and takes O(n + m).  Both sides are warmed up before timing and alternate
 // which one runs first, so neither pays for a cold cache the other skips.
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -22,6 +24,17 @@ namespace {
 
 Flow flow_of_first_item(const RequestSequence& seq) {
   return make_item_flow(seq, 0);
+}
+
+/// Bytes of the paper's Fig. 8 pLast snapshots: one m-size int32 array per
+/// node, origin included.
+std::size_t paper_snapshot_bytes(const Flow& flow, std::size_t m) {
+  return (flow.size() + 1) * m * sizeof(std::int32_t);
+}
+
+/// Bytes the production index holds for `flow`.
+std::size_t production_index_bytes(const Flow& flow, std::size_t m) {
+  return RequestIndex(flow, m).footprint_bytes();
 }
 
 /// One solve without schedule reconstruction, in seconds: the reference
@@ -74,7 +87,8 @@ int main() {
 
   // Adversarial request pattern for the naive scan: frequent same-server
   // revisits keep the D-window wide.
-  TextTable table({"n", "naive (ms)", "window-min (ms)", "index bytes"});
+  TextTable table({"n", "naive (ms)", "window-min (ms)", "paper (n+1)*m*4 B",
+                   "index B"});
   std::vector<double> ns, naive_times, fast_times;
   for (const std::size_t n : {500u, 1000u, 2000u, 4000u, 8000u}) {
     UniformTraceConfig config;
@@ -87,13 +101,13 @@ int main() {
 
     const int repeats = n <= 1000 ? 20 : 6;
     const auto [naive, fast] = time_both(flow, model, m, repeats);
-    // The Section-V structures: per node an m-size snapshot of int32.
-    const std::size_t index_bytes = (flow.size() + 1) * m * sizeof(std::int32_t);
     ns.push_back(static_cast<double>(n));
     naive_times.push_back(naive);
     fast_times.push_back(fast);
     table.add_row({std::to_string(n), format_fixed(naive * 1e3, 3),
-                   format_fixed(fast * 1e3, 3), std::to_string(index_bytes)});
+                   format_fixed(fast * 1e3, 3),
+                   std::to_string(paper_snapshot_bytes(flow, m)),
+                   std::to_string(production_index_bytes(flow, m))});
   }
   std::printf("%s\n", table.render().c_str());
 
@@ -105,14 +119,15 @@ int main() {
   std::printf("window-min     : time ~ n^%s (R^2 %s) — near-linear\n",
               format_fixed(fast_fit.exponent, 2).c_str(),
               format_fixed(fast_fit.r_squared, 3).c_str());
-  std::printf("space          : index snapshots are exactly (n+1)*m*4 bytes "
-              "= O(mn)\n\n");
+  std::printf("space          : the paper's snapshots are (n+1)*m*4 bytes = "
+              "O(mn); the index keeps p(i) only, O(n + m)\n\n");
 
   // Worst case: the round-robin pattern keeps every D window m nodes wide,
   // so the naive scan does Θ(mn) = Θ(n²/rounds) work — the paper's O(mn²)
   // term made visible.
   std::printf("adversarial round-robin pattern (m = n/4, the O(mn^2) regime):\n");
-  TextTable adversarial({"n", "naive (ms)", "window-min (ms)"});
+  TextTable adversarial({"n", "naive (ms)", "window-min (ms)",
+                         "paper (n+1)*m*4 B", "index B"});
   std::vector<double> adv_ns, adv_naive;
   for (const std::size_t n : {1024u, 2048u, 4096u, 8192u}) {
     AdversarialWindowConfig config;
@@ -125,8 +140,11 @@ int main() {
         time_both(flow, model, config.server_count, repeats);
     adv_ns.push_back(static_cast<double>(n));
     adv_naive.push_back(naive);
-    adversarial.add_row({std::to_string(n), format_fixed(naive * 1e3, 3),
-                         format_fixed(fast * 1e3, 3)});
+    adversarial.add_row(
+        {std::to_string(n), format_fixed(naive * 1e3, 3),
+         format_fixed(fast * 1e3, 3),
+         std::to_string(paper_snapshot_bytes(flow, config.server_count)),
+         std::to_string(production_index_bytes(flow, config.server_count))});
   }
   std::printf("%s\n", adversarial.render().c_str());
   const PowerFit adv_fit = fit_power_law(adv_ns, adv_naive);

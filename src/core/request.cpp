@@ -229,7 +229,7 @@ RequestSequence RequestSequence::adopt_columns(
     // Even the trusting path range-checks every id that is used as an index
     // downstream: an out-of-range item id would index per_item_offsets_ out
     // of bounds later, and an out-of-range server id would index per-server
-    // state (RequestIndex snapshots, queue tails) out of bounds.
+    // state (the RequestIndex last-on-server scan) out of bounds.
     for (const ServerId server : columns.servers) {
       require(server < server_count, "adopt_columns: server id out of range");
     }

@@ -1,12 +1,14 @@
-// The pre-scan data structures of Section V (Fig. 8).
+// The pre-scan index of Section V, reduced to what the offline DP reads.
 //
-// For one flow we build, in a single O(m·N) pre-scan pass:
-//   * per-server doubly linked lists Q_j of the flow's service nodes,
-//   * a time index A[N] over all nodes,
-//   * a rolling pLast[m] array of the most recent node on each server,
-//     snapshotted into every node's m-size pointer array.
-// The service pass then identifies each candidate interval in O(1) per
-// server, giving the paper's O(mn^2) time / O(mn) space bounds.
+// For one flow we build, in a single O(n) pass plus an O(m) rolling
+// last-on-server scratch:
+//   * a time index A[n] and the server of every node,
+//   * p(i): the previous node on node i's own server, strictly before i.
+// The D(i) recurrence and the schedule backtrack read nothing else, so the
+// index takes O(n + m) space and meets (and beats) the paper's O(mn) bound.
+// The paper's full Fig. 8 structures — the per-node m-size pLast snapshots
+// and the per-server Q_j lists — live on as the test-only oracle
+// reference::PreScanSnapshots (reference/prescan_snapshots.hpp).
 //
 // Node 0 is always the implicit origin (server kOriginServer, time 0).
 #pragma once
@@ -34,7 +36,8 @@ class RequestIndex {
 
   /// Re-runs the pre-scan for a new flow, reusing the existing buffer
   /// capacity — no allocation when the new flow is no larger than any
-  /// previously indexed one (the SolverWorkspace reuse contract).
+  /// previously indexed one (the SolverWorkspace reuse contract).  Validates
+  /// the flow as validate_flow does (same errors), in the same pass.
   void rebuild(const Flow& flow, std::size_t server_count,
                ServerId origin = kOriginServer);
 
@@ -49,52 +52,30 @@ class RequestIndex {
     return servers_[node];
   }
 
+  /// p(i): most recent node on node i's own server, strictly before i;
+  /// kNone if the flow never visited that server before.
+  [[nodiscard]] std::int32_t prev_same_server(std::size_t node) const noexcept {
+    return prev_[node];
+  }
+
   /// The flat node columns (for the SoA kernel passes in solver/kernels.hpp).
   [[nodiscard]] std::span<const Time> times() const noexcept { return times_; }
   [[nodiscard]] std::span<const ServerId> servers() const noexcept {
     return servers_;
   }
-
-  /// Most recent node on `server` strictly before `node` (the r_{p(i)} /
-  /// pLast snapshot of the paper); kNone if the flow never visited it.
-  [[nodiscard]] std::int32_t recent_on_server(std::size_t node,
-                                              ServerId server) const noexcept {
-    return snapshots_[node * m_ + server];
+  [[nodiscard]] std::span<const std::int32_t> prev() const noexcept {
+    return prev_;
   }
 
-  /// p(i): most recent node on node i's own server, strictly before i.
-  [[nodiscard]] std::int32_t prev_same_server(std::size_t node) const noexcept {
-    return recent_on_server(node, server_of(node));
-  }
-
-  /// Doubly linked list Q_j navigation: previous/next node on the same server.
-  [[nodiscard]] std::int32_t q_prev(std::size_t node) const noexcept {
-    return q_prev_[node];
-  }
-  [[nodiscard]] std::int32_t q_next(std::size_t node) const noexcept {
-    return q_next_[node];
-  }
-  /// Last node of Q_j after the full pre-scan.
-  [[nodiscard]] std::int32_t q_tail(ServerId server) const noexcept {
-    return q_tail_[server];
-  }
-
-  /// The full pLast snapshot of `node` (m entries, one per server): the most
-  /// recent node on each server strictly before `node`. These are the
-  /// potential start nodes of the intervals that cover the node (Fig. 8).
-  [[nodiscard]] std::span<const std::int32_t> snapshot(std::size_t node) const {
-    return {snapshots_.data() + node * m_, m_};
-  }
+  /// Bytes of buffer capacity the index holds: O(n + m).
+  [[nodiscard]] std::size_t footprint_bytes() const noexcept;
 
  private:
   std::size_t m_ = 0;
   std::vector<Time> times_;
   std::vector<ServerId> servers_;
-  std::vector<std::int32_t> snapshots_;  // node-major, m per node
-  std::vector<std::int32_t> q_prev_;
-  std::vector<std::int32_t> q_next_;
-  std::vector<std::int32_t> q_tail_;
-  std::vector<std::int32_t> p_last_;  // rolling pre-scan scratch
+  std::vector<std::int32_t> prev_;
+  std::vector<std::int32_t> last_on_server_;  // rolling pre-scan scratch
 };
 
 }  // namespace dpg

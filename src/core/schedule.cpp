@@ -22,15 +22,18 @@ void Schedule::add_segment(ServerId server, Time begin, Time end) {
   require(end >= begin, "Schedule: segment end before begin");
   require(begin >= 0.0, "Schedule: negative segment time");
   if (end == begin) return;  // zero-length segments carry no information
-  g_segments_emitted.add();
   segments_.push_back(CacheSegment{server, begin, end});
 }
 
 void Schedule::add_transfer(ServerId from, ServerId to, Time time) {
   require(time >= 0.0, "Schedule: negative transfer time");
   require(from != to, "Schedule: transfer to the same server");
-  g_transfers_emitted.add();
   transfers_.push_back(TransferEdge{from, to, time});
+}
+
+void Schedule::count_emitted_since(Mark since) const {
+  g_segments_emitted.add(segments_.size() - since.segments);
+  g_transfers_emitted.add(transfers_.size() - since.transfers);
 }
 
 Time Schedule::total_cache_time() const {

@@ -47,6 +47,19 @@ class Schedule {
   void add_segment(ServerId server, Time begin, Time end);
   void add_transfer(ServerId from, ServerId to, Time time);
 
+  /// The segment and transfer counts at one point of a schedule's build.
+  struct Mark {
+    std::size_t segments = 0;
+    std::size_t transfers = 0;
+  };
+  [[nodiscard]] Mark mark() const noexcept {
+    return {segments_.size(), transfers_.size()};
+  }
+  /// Adds what was appended since `since` to the schedule.segments_emitted
+  /// and schedule.transfers_emitted counters: emitters call this once per
+  /// schedule (or batch) they build, not once per segment.
+  void count_emitted_since(Mark since) const;
+
   [[nodiscard]] const std::vector<CacheSegment>& segments() const noexcept {
     return segments_;
   }

@@ -51,6 +51,7 @@ Schedule schedule_from_csv(const std::string& text, std::size_t group_size) {
       throw IoError("schedule CSV: unknown kind '" + row[kind_col] + "'");
     }
   }
+  schedule.count_emitted_since({});
   return schedule;
 }
 

@@ -109,6 +109,7 @@ BruteForceResult solve_bruteforce(const Flow& flow, const CostModel& model,
     best.schedule.add_segment(p.server, p.time, c.time);
     if (p.server != c.server) best.schedule.add_transfer(p.server, c.server, c.time);
   }
+  best.schedule.count_emitted_since({});
   return best;
 }
 

@@ -39,6 +39,7 @@ SolveResult solve_greedy(const Flow& flow, const CostModel& model,
       if (s_i != s_prev) result.schedule.add_transfer(s_prev, s_i, t_i);
     }
   }
+  result.schedule.count_emitted_since({});
   result.raw_cost = total;
   result.cost = model.flow_multiplier(flow.group_size) * total;
   return result;
@@ -61,6 +62,7 @@ SolveResult solve_chain(const Flow& flow, const CostModel& model) {
     prev_time = point.time;
     prev_server = point.server;
   }
+  result.schedule.count_emitted_since({});
   result.cost = model.flow_multiplier(flow.group_size) * result.raw_cost;
   return result;
 }
@@ -99,6 +101,7 @@ SolveResult solve_greedy_heterogeneous(const Flow& flow,
       if (s_i != s_prev) result.schedule.add_transfer(s_prev, s_i, t_i);
     }
   }
+  result.schedule.count_emitted_since({});
   result.raw_cost = total;
   result.cost = total;  // heterogeneous flows are priced at face value
   return result;

@@ -5,18 +5,15 @@
 
 namespace dpg {
 
-// Thin driver over OnlineBreakEvenState (solver/online_state.hpp), which
-// advances one service point at a time; feeding it a whole flow is
-// bit-identical to the monolithic loop this replaces.
+// Thin driver over OnlineBreakEvenState (solver/online_state.hpp): the
+// whole flow is one batch, bit-identical to advancing point by point.
 OnlineResult solve_online_break_even(const Flow& flow, const CostModel& model,
                                      std::size_t server_count,
                                      const OnlineOptions& options) {
   validate_flow(flow);
   const obs::TraceSpan span("online/break_even");
   OnlineBreakEvenState state(model, server_count, flow.group_size, options);
-  for (const ServicePoint& point : flow.points) {
-    state.advance(point);
-  }
+  state.advance_batch(flow.points);
   return state.finish();
 }
 

@@ -204,6 +204,12 @@ void OnlineBreakEvenState::advance(const ServicePoint& point) {
 
 void OnlineBreakEvenState::advance_batch(std::span<const ServicePoint> points) {
   for (const ServicePoint& point : points) advance(point);
+  count_emitted();
+}
+
+void OnlineBreakEvenState::count_emitted() {
+  result_.schedule.count_emitted_since(counted_);
+  counted_ = result_.schedule.mark();
 }
 
 OnlineResult OnlineBreakEvenState::finish() {
@@ -214,6 +220,7 @@ OnlineResult OnlineBreakEvenState::finish() {
     result_.schedule.add_segment(c.server, c.since, c.last_use);
   }
   copies_.clear();
+  count_emitted();
   result_.raw_cost =
       model_.mu * result_.cache_time +
       model_.lambda * static_cast<double>(result_.transfer_count);

@@ -107,7 +107,8 @@ class OnlineBreakEvenState {
 
   /// Serves a run of points in order — the batch entry for block-wise
   /// ingest.  Same per-point arithmetic as advance(), so the result is
-  /// bit-identical at every batch size.
+  /// bit-identical at every batch size.  Adds the batch's segments and
+  /// transfers to the schedule counters in one step; finish() adds the rest.
   void advance_batch(std::span<const ServicePoint> points);
 
   /// Closes the books (charges every surviving copy to its last use) and
@@ -125,6 +126,9 @@ class OnlineBreakEvenState {
   std::vector<ReplicaCopy> copies_;
   OnlineResult result_;
   std::size_t served_ = 0;
+  Schedule::Mark counted_;  // schedule size already added to the counters
+
+  void count_emitted();
 };
 
 /// The resumable core of online DP_Greedy: windowed Jaccard packing with

@@ -27,8 +27,17 @@ SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
                                   const OptimalOfflineOptions& options,
                                   SolverWorkspace* workspace) {
   model.validate();
-  validate_flow(flow);
   const obs::TraceSpan span("phase2/dp_solve");
+  // All scratch lives in the (caller-provided or local) workspace; repeated
+  // solves through one workspace reuse capacity and allocate nothing.
+  SolverWorkspace local;
+  SolverWorkspace& ws = workspace != nullptr ? *workspace : local;
+  // The index build validates the flow in its copy pass.
+  if (flow.empty()) {
+    validate_flow(flow);
+  } else {
+    ws.index.rebuild(flow, server_count);
+  }
   g_dp_solves.add();
   (workspace != nullptr ? g_workspace_hits : g_workspace_local).add();
   SolveResult result;
@@ -39,12 +48,6 @@ SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
     return result;
   }
 
-  // All scratch lives in the (caller-provided or local) workspace; repeated
-  // solves through one workspace reuse capacity and allocate nothing.
-  SolverWorkspace local;
-  SolverWorkspace& ws = workspace != nullptr ? *workspace : local;
-
-  ws.index.rebuild(flow, server_count);
   const RequestIndex& index = ws.index;
   const std::size_t n = index.node_count();  // origin + services
   g_dp_cells.add(n - 1);
@@ -69,16 +72,13 @@ SolveResult solve_optimal_offline(const Flow& flow, const CostModel& model,
   suffix.clear();
   suffix.push(0, 0.0);
 
-  // Gather the same-server predecessor and link columns once, run the w/W
-  // pass as flat column kernels (solver/kernels.hpp), and answer D(i)'s
-  // window minimum with a blocked scan over the dense v_k = C(k) − W(k)
-  // column — SuffixMin stays as the wide-window backstop.
+  // Run the link and w/W passes as flat column kernels (solver/kernels.hpp)
+  // over the index's p(i) column, and answer D(i)'s window minimum with a
+  // blocked scan over the dense v_k = C(k) − W(k) column — SuffixMin stays
+  // as the wide-window backstop.
   const Time* t = index.times().data();
   const ServerId* s = index.servers().data();
-  ws.prev.resize(n);
-  std::int32_t* prev = ws.prev.data();
-  prev[0] = RequestIndex::kNone;
-  for (std::size_t j = 1; j < n; ++j) prev[j] = index.prev_same_server(j);
+  const std::int32_t* prev = index.prev().data();
   ws.link.resize(n);
   kernels::link_costs(t, prev, mu, n, ws.link.data());
   kernels::w_and_prefix(ws.link.data(), lambda, n, w.data(), w_prefix.data());
@@ -137,6 +137,7 @@ void backtrack_dp_schedule(const RequestIndex& index,
   // state and i are physically served.
   const double mu = model.mu;
   const double lambda = model.lambda;
+  const Schedule::Mark start = schedule.mark();
   std::size_t i = index.node_count() - 1;
   while (i > 0) {
     const DpChoice& ch = choice[i];
@@ -170,6 +171,7 @@ void backtrack_dp_schedule(const RequestIndex& index,
       i = i - 1;
     }
   }
+  schedule.count_emitted_since(start);
 }
 
 }  // namespace dpg

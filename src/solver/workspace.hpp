@@ -89,9 +89,9 @@ struct SolverWorkspace {
   std::vector<DpChoice> choice;
   SuffixMin suffix;
 
-  // Kernel-path columns (solver/kernels.hpp): same-server predecessor,
-  // link costs μ·Δt, and the dense v_k = C(k) − W(k) the window scan reads.
-  std::vector<std::int32_t> prev;
+  // Kernel-path columns (solver/kernels.hpp): link costs μ·Δt off the
+  // index's p(i) column, and the dense v_k = C(k) − W(k) the window scan
+  // reads.
   std::vector<Cost> link;
   std::vector<Cost> v;
 
